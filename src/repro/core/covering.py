@@ -319,7 +319,7 @@ class _MemoProbe:
         members_sorted = sorted(frozen)
         shared = set()
         for v in members_sorted:
-            matches = self.matcher._memo.get((v, frozen))
+            matches = self.matcher.peek(v, frozen)
             if matches is None:  # pragma: no cover - defensive
                 return None
             for phase in (POS, NEG):
@@ -469,8 +469,9 @@ class _VertexTable:
     per-phase winner is the first-occurrence argmin over each slice,
     which reproduces the reference scan's strict-``<`` selection.
     Tables depend only on the match lists (never on the objective or
-    the positions), so they are cached on the matcher alongside its
-    match memo and amortize across K points.
+    the positions), so they are cached on the matcher under the same
+    cone key as the match lists (one table per shared list) and
+    amortize across K points and overlapping trees.
     """
 
     __slots__ = ("matches", "pos_count", "m", "cell_area", "leaf_groups",
@@ -492,7 +493,7 @@ class _VertexTable:
             by_leaves.setdefault(len(mt.leaves), []).append(i)
             by_consumed.setdefault(len(mt.consumed), []).append(i)
         self.leaf_groups = []
-        refs = set()
+        codes = []  # leaf refs (u, p) as u * 2 + p
         for k, idxs in sorted(by_leaves.items()):
             idx = np.array(idxs, dtype=np.intp)
             lu = np.array([[u for _, (u, _) in matches[i].leaves]
@@ -500,8 +501,7 @@ class _VertexTable:
             lp = np.array([[int(ph) for _, (_, ph) in matches[i].leaves]
                            for i in idxs], dtype=np.intp).reshape(len(idxs), k)
             self.leaf_groups.append((k, idx, lu, lp))
-            for i in idxs:
-                refs.update((u, int(ph)) for _, (u, ph) in matches[i].leaves)
+            codes.append((2 * lu + lp).ravel())
         self.cons_groups = []
         for s, idxs in sorted(by_consumed.items()):
             idx = np.array(idxs, dtype=np.intp)
@@ -510,9 +510,9 @@ class _VertexTable:
             cids = np.array([list(matches[i].consumed) for i in idxs],
                             dtype=np.intp)
             self.cons_groups.append((idx, cids))
-        ordered = sorted(refs)
-        self.leaf_u = np.array([u for u, _ in ordered], dtype=np.intp)
-        self.leaf_p = np.array([p for _, p in ordered], dtype=np.intp)
+        ordered = np.unique(np.concatenate(codes))
+        self.leaf_u = ordered // 2
+        self.leaf_p = ordered % 2
 
     def delays(self, load: float) -> np.ndarray:
         """Per-match cell delay under the objective's load estimate."""
@@ -530,7 +530,7 @@ def _vertex_table(matcher: Matcher, vertex: int, frozen,
     if cache is None:
         cache = {}
         matcher._vertex_tables = cache
-    key = (vertex, frozen)
+    key = matcher.cone_key(vertex, frozen)
     table = cache.get(key)
     if table is None:
         table = _VertexTable(matches_by_phase)

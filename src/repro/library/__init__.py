@@ -9,13 +9,21 @@ from .cache import (
 from .cell import CellLibrary, LibCell
 from .corelib import CORELIB018, ROW_HEIGHT_UM, build_corelib018
 from .liberty import dump_library, load_library, parse_pattern
-from .patterns import PatternNode, leaf, pattern_to_sop, pinv, pnand
+from .patterns import (
+    PatternNode,
+    PatternTable,
+    leaf,
+    pattern_to_sop,
+    pinv,
+    pnand,
+)
 
 __all__ = [
     "CORELIB018",
     "CellLibrary",
     "LibCell",
     "PatternNode",
+    "PatternTable",
     "ROW_HEIGHT_UM",
     "build_corelib018",
     "cached_library",

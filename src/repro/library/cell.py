@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..errors import LibraryError
 from ..network.sop import Sop
-from .patterns import PatternNode, pattern_to_sop
+from .patterns import PatternNode, PatternTable, pattern_to_sop
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,12 @@ class LibCell:
 
 
 class CellLibrary:
-    """A named collection of :class:`LibCell` objects."""
+    """A named collection of :class:`LibCell` objects.
+
+    ``pattern_table`` is every cell's patterns compiled once into the
+    interned :class:`~repro.library.patterns.PatternTable` (cells in
+    name order) that the matcher enumerates.
+    """
 
     def __init__(self, name: str, cells: Sequence[LibCell],
                  row_height: float = 5.2):  # noqa: D107
@@ -94,6 +99,8 @@ class CellLibrary:
             raise LibraryError("library has no cells")
         self._inverter = self._find_inverter()
         self._base_nand = self._find_base_nand()
+        self.pattern_table = PatternTable(
+            (cell, cell.patterns) for cell in self.cells())
 
     def _find_inverter(self) -> LibCell:
         candidates = [c for c in self._cells.values()

@@ -10,11 +10,14 @@ matching, satisfied by every cell in a DAGON-style library).
 The cell's logic function is *derived* from its pattern
 (:func:`pattern_to_sop`), which makes pattern/function consistency true
 by construction and testable for multi-pattern cells.
+
+A library compiles its patterns once into a :class:`PatternTable`, the
+interned form the matcher enumerates.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import LibraryError
 from ..network.sop import Sop
@@ -101,6 +104,58 @@ def pinv(child: PatternNode) -> PatternNode:
 def pnand(left: PatternNode, right: PatternNode) -> PatternNode:
     """A two-input NAND pattern node."""
     return PatternNode(P_NAND, children=[left, right])
+
+
+#: One interned pattern node: (kind, pin or None, child node ids).
+InternedNode = Tuple[str, Optional[str], Tuple[int, ...]]
+
+
+class PatternTable:
+    """A library's pattern trees compiled into one interned node table.
+
+    Structurally equal sub-trees (same kind, same pin, equal children)
+    get one id, so cells and patterns share every common sub-pattern:
+    CORELIB018's 24 patterns over 143 nodes intern to 20 distinct
+    patterns over 33 nodes.  ``nodes[i]`` is the :data:`InternedNode`
+    of id ``i``; children precede their parents.  ``entries`` pairs each
+    owner (a cell) with the ids of its patterns, in input order.
+    ``nand_depth`` is the largest number of NAND2 nodes on a pattern's
+    root-to-leaf path: a match reaches at most that many subject NAND2s
+    below its root.  ``nand_phase[i]`` is the one output phase (``True``
+    = positive) in which node ``i`` can cover a subject NAND2 it is
+    rooted at: a NAND2 node covers it positively and each INV above
+    flips that; ``None`` for an INV chain down to a leaf, which covers
+    no NAND2.
+    """
+
+    def __init__(self, entries: Iterable[Tuple[Any, Sequence[PatternNode]]]
+                 ) -> None:  # noqa: D107
+        self.nodes: List[InternedNode] = []
+        self._ids: Dict[InternedNode, int] = {}
+        self._nands: List[int] = []
+        self.nand_phase: List[Optional[bool]] = []
+        self.entries: Tuple[Tuple[Any, Tuple[int, ...]], ...] = tuple(
+            (owner, tuple(self._intern(p) for p in patterns))
+            for owner, patterns in entries)
+        self.nand_depth = max((self._nands[i] for _, ids in self.entries
+                               for i in ids), default=0)
+
+    def _intern(self, node: PatternNode) -> int:
+        key = (node.kind, node.pin,
+               tuple(self._intern(child) for child in node.children))
+        nid = self._ids.get(key)
+        if nid is None:
+            nid = self._ids[key] = len(self.nodes)
+            self.nodes.append(key)
+            self._nands.append(int(node.kind == P_NAND) + max(
+                (self._nands[c] for c in key[2]), default=0))
+            phase: Optional[bool] = None
+            if node.kind == P_NAND:
+                phase = True
+            elif node.kind == P_INV and self.nand_phase[key[2][0]] is not None:
+                phase = not self.nand_phase[key[2][0]]
+            self.nand_phase.append(phase)
+        return nid
 
 
 def pattern_to_sop(node: PatternNode) -> Sop:

@@ -183,13 +183,19 @@ def approx_nbytes(obj: Any, max_visits: int = 200_000) -> int:
 
 
 class _Entry:
-    """One cached value with its recency tick and byte estimate."""
+    """One cached value with its recency tick and byte estimates.
 
-    __slots__ = ("value", "tick", "nbytes")
+    ``base`` is the estimate taken at insertion; ``nbytes`` the current
+    one, which :meth:`SessionCaches.sync` refreshes for entries that
+    grow after insertion.
+    """
+
+    __slots__ = ("value", "tick", "base", "nbytes")
 
     def __init__(self, value: Any, tick: int, nbytes: int):  # noqa: D107
         self.value = value
         self.tick = tick
+        self.base = nbytes
         self.nbytes = nbytes
 
 
@@ -336,7 +342,9 @@ class SessionCaches:
 
         Matchers are memo *carriers*, not memo *contents*: they are
         never persisted — their value is the in-process match/cover
-        memos, which rebuild incrementally anyway.
+        memos, which rebuild incrementally anyway.  Those memos grow
+        with every job; :meth:`sync` keeps the entry's byte estimate in
+        step with them.
         """
         cached = self._get("matcher", key)
         if cached is not None:
@@ -408,15 +416,19 @@ class SessionCaches:
             self._route_saved[rkey] = cache.routes
 
     def sync(self) -> None:
-        """Flush advanced route-pool snapshots to the disk tier and
-        refresh their byte estimates.
+        """Refresh the byte estimates of entries that grew, and flush
+        advanced route-pool snapshots to the disk tier.
 
-        The engine calls this after every job: route pools are the one
-        family whose entries *grow* after insertion (the flow layer
-        stores clean snapshots into them), so their accounting — and
-        their persistent copies — are brought up to date here rather
-        than on some later, unrelated access.
+        The engine calls this after every job.  Two families *grow*
+        after insertion, so their accounting is brought up to date here
+        rather than on some later, unrelated access: matchers fill their
+        match memos (their running ``memo_nbytes`` estimate is added to
+        the insertion-time walk, so a filled matcher is never re-walked)
+        and route pools take clean snapshots from the flow layer (they
+        are re-walked, and persisted, only when the snapshot changed).
         """
+        for entry in self._families["matcher"].values():
+            entry.nbytes = entry.base + entry.value.memo_nbytes
         entries = self._families["route_pool"]
         for rkey, entry in entries.items():
             cache = entry.value

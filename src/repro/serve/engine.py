@@ -179,8 +179,9 @@ class ServeEngine:
             result, points = JobResult(
                 id=job.id, cmd=job.cmd, source=job.source, ok=False,
                 verdict="error", error=f"{type(exc).__name__}: {exc}"), []
-        # Route pools may have advanced during the job: re-account them
-        # and write them through to the disk tier before the next job.
+        # Matchers and route pools may have grown during the job:
+        # re-account them (writing advanced route pools through to the
+        # disk tier) before the next job.
         self.caches.sync()
         t_job = time.perf_counter() - t0
         for point in points:

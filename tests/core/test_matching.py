@@ -1,9 +1,11 @@
 """Tests for the phase-aware structural matcher."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import Matcher, NEG, POS
-from repro.library import CORELIB018
+from repro.library import CORELIB018, CellLibrary, LibCell, leaf, pinv, pnand
 from repro.network import BooleanNetwork, decompose, parse_sop
 from repro.network.dag import BaseNetwork
 
@@ -186,3 +188,160 @@ class TestComplexCells:
         matches = matcher.matches_at(nand_v, all_consumable)[POS]
         keys = {(m.cell.name, tuple(sorted(m.leaves))) for m in matches}
         assert len(keys) == len(matches)  # all deduped
+
+
+def _signature(matches):
+    """Everything a match list carries, in order (consumed-set iteration
+    order included: the covering DP sums centroids in that order)."""
+    return [(m.cell.name, m.phase, m.root, m.leaves, list(m.consumed))
+            for phase in (POS, NEG) for m in matches[phase]]
+
+
+@st.composite
+def _subjects(draw):
+    """A small random subject graph, a root gate and a tree around it.
+
+    Each gate takes its first input from the three newest signals, so
+    the graphs grow the deep INV/NAND2 chains the largest patterns need.
+    """
+    net = BaseNetwork("h")
+    signals = [net.add_input(f"i{k}") for k in range(draw(
+        st.integers(2, 4)))]
+    for _ in range(draw(st.integers(1, 20))):
+        first = signals[-1 - draw(st.integers(0, min(2, len(signals) - 1)))]
+        if draw(st.booleans()):
+            signals.append(net.add_inv(first))
+        else:
+            signals.append(net.add_nand2(first,
+                                         draw(st.sampled_from(signals))))
+    gates = sorted(net.gates())
+    root = draw(st.sampled_from(gates[len(gates) // 2:]))
+    members = frozenset(v for v in gates
+                        if v == root or draw(st.booleans()))
+    return net, root, members, gates
+
+
+def _fresh(net, vertex, members):
+    return Matcher(net, CORELIB018).matches_at(vertex, members.__contains__)
+
+
+_PROPERTY = settings(max_examples=80, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestSharedEnumerationIsExact:
+    """Cone-keyed sharing returns exactly what a fresh enumeration does."""
+
+    @_PROPERTY
+    @given(_subjects())
+    def test_matches_in_tree_equals_fresh(self, subject):
+        net, root, members, gates = subject
+        matcher = Matcher(net, CORELIB018)
+        # Warm the per-tree memo through the other members first, as
+        # the covering DP does.
+        for v in sorted(members):
+            assert _signature(matcher.matches_in_tree(v, members)) == \
+                _signature(_fresh(net, v, members))
+        assert _signature(matcher.matches_in_tree(root, members)) == \
+            _signature(_fresh(net, root, members))
+
+    @_PROPERTY
+    @given(_subjects(), st.data())
+    def test_trees_agreeing_on_the_cone_share_one_list(self, subject, data):
+        net, root, members, gates = subject
+        matcher = Matcher(net, CORELIB018)
+        cone = set(matcher.cone(root))
+        outside = [v for v in gates if v not in cone]
+        flipped = frozenset(data.draw(st.lists(
+            st.sampled_from(outside), unique=True))) if outside \
+            else frozenset()
+        other = members.symmetric_difference(flipped)
+        first = matcher.matches_in_tree(root, members)
+        shared = matcher.matches_in_tree(root, other)
+        assert shared is first
+        assert matcher.stats["match_cache_misses"] == 1
+        assert _signature(shared) == _signature(_fresh(net, root, other))
+
+    @_PROPERTY
+    @given(_subjects(), st.data())
+    def test_trees_differing_in_the_cone_miss(self, subject, data):
+        net, root, members, gates = subject
+        matcher = Matcher(net, CORELIB018)
+        inside = [v for v in matcher.cone(root) if v != root]
+        if not inside:
+            return
+        other = members.symmetric_difference(
+            {data.draw(st.sampled_from(inside))})
+        matcher.matches_in_tree(root, members)
+        changed = matcher.matches_in_tree(root, other)
+        assert matcher.stats["match_cache_misses"] == 2
+        assert _signature(changed) == _signature(_fresh(net, root, other))
+
+    @_PROPERTY
+    @given(_subjects())
+    def test_enumeration_queries_only_the_cone(self, subject):
+        net, root, members, gates = subject
+        matcher = Matcher(net, CORELIB018)
+        queried = set()
+
+        def everything(v):
+            queried.add(v)
+            return True
+
+        def recording(v):
+            queried.add(v)
+            return v in members
+
+        matcher.matches_at(root, everything)
+        matcher.matches_at(root, recording)
+        assert queried <= set(matcher.cone(root))
+
+
+class TestConeDepth:
+    """The cone depth follows the library, not a hard-coded constant."""
+
+    @staticmethod
+    def _library_with_nand_depth_4():
+        def cell(name, pattern, area):
+            return LibCell(name=name, patterns=(pattern,), area=area,
+                           intrinsic_delay=0.03, drive_resistance=5.0,
+                           pin_caps={p: 0.002 for p in pattern.leaves()})
+        deep = pnand(pinv(pnand(pinv(pnand(pinv(pnand(
+            pinv(leaf("A")), leaf("B"))), leaf("C"))), leaf("D"))),
+            leaf("E"))
+        return CellLibrary("deep", [
+            cell("INV", pinv(leaf("A")), 1.0),
+            cell("ND2", pnand(leaf("A"), leaf("B")), 2.0),
+            cell("DEEP", deep, 9.0)])
+
+    @staticmethod
+    def _chain():
+        net = BaseNetwork("chain")
+        a, b, c, d, e = (net.add_input(x) for x in "abcde")
+        bottom = net.add_inv(a)
+        top = net.add_nand2(bottom, b)
+        for pin in (c, d, e):
+            top = net.add_nand2(net.add_inv(top), pin)
+        net.set_output("y", top)
+        return net, top, bottom
+
+    def test_deep_pattern_widens_the_cone(self):
+        library = self._library_with_nand_depth_4()
+        assert library.pattern_table.nand_depth == 4
+        net, top, bottom = self._chain()
+        assert bottom in Matcher(net, library).cone(top)
+        assert bottom not in Matcher(net, CORELIB018).cone(top)
+
+    def test_deep_membership_changes_the_matches(self):
+        library = self._library_with_nand_depth_4()
+        net, top, bottom = self._chain()
+        matcher = Matcher(net, library)
+        whole = frozenset(net.gates())
+        without = whole - {bottom}
+        deep_whole = [m for m in matcher.matches_in_tree(top, whole)[POS]
+                      if m.cell.name == "DEEP"]
+        deep_without = [m for m in matcher.matches_in_tree(top, without)[POS]
+                        if m.cell.name == "DEEP"]
+        assert any(bottom in m.consumed for m in deep_whole)
+        assert not any(bottom in m.consumed for m in deep_without)
+        assert matcher.stats["match_cache_misses"] == 2

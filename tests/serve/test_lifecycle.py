@@ -10,8 +10,10 @@ that bounded caches change nothing but the wall clock.
 import numpy as np
 import pytest
 
-from repro.core import FlowConfig
+from repro.circuits import benchmark
+from repro.core import FlowConfig, Matcher, map_network
 from repro.library import CORELIB018
+from repro.network import decompose
 from repro.place import Floorplan
 from repro.serve import CacheBounds, Job, ServeEngine, SessionCaches
 from repro.serve.caches import approx_nbytes
@@ -111,6 +113,45 @@ class TestByteBounds:
         assert stats.kind("serve.evictions") == "work"
         assert stats.kind("serve.cache_bytes") == "gauge"
         assert stats["serve.cache_bytes"] > 0
+
+
+class TestGrowingMatchers:
+    """Matchers fill their memos after insertion; ``sync`` accounts it."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return decompose(benchmark("spla", 0.01))
+
+    def test_sync_tracks_matcher_growth(self, base):
+        caches = SessionCaches(CORELIB018)
+        matcher = caches.matcher("k", base)
+        empty = caches.cache_bytes()
+        map_network(base, CORELIB018, matcher=matcher)
+        assert matcher.memo_nbytes > 0
+        assert caches.cache_bytes() == empty  # not yet re-accounted
+        caches.sync()
+        assert caches.cache_bytes() == empty + matcher.memo_nbytes
+
+    def test_running_estimate_tracks_an_object_walk(self, base):
+        matcher = Matcher(base, CORELIB018)
+        empty = approx_nbytes(matcher, max_visits=10**7)
+        map_network(base, CORELIB018, matcher=matcher)
+        walked = approx_nbytes(matcher, max_visits=10**7) - empty
+        assert 0.5 * walked <= matcher.memo_nbytes <= 2.0 * walked
+
+    def test_bounded_session_evicts_a_grown_matcher(self, base):
+        limit = 2 * approx_nbytes(Matcher(base, CORELIB018))
+        caches = SessionCaches(CORELIB018,
+                               bounds=CacheBounds(max_bytes=limit))
+        matcher = caches.matcher("k", base)
+        map_network(base, CORELIB018, matcher=matcher)
+        assert caches.counters()["matcher_entries"] == 1
+        assert approx_nbytes(matcher) > limit
+        caches.sync()
+        counters = caches.counters()
+        assert counters["matcher_evictions"] == 1
+        assert counters["matcher_entries"] == 0
+        assert counters["cache_bytes"] <= limit
 
 
 class TestApproxNbytes:
