@@ -4,10 +4,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Matcher, NEG, POS
+from repro.core import Match, Matcher, NEG, POS
 from repro.library import CORELIB018, CellLibrary, LibCell, leaf, pinv, pnand
+from repro.library.patterns import LEAF, P_INV, P_NAND
 from repro.network import BooleanNetwork, decompose, parse_sop
-from repro.network.dag import BaseNetwork
+from repro.network.dag import INV, NAND2, BaseNetwork
 
 
 def all_consumable(_v):
@@ -225,12 +226,83 @@ def _fresh(net, vertex, members):
     return Matcher(net, CORELIB018).matches_at(vertex, members.__contains__)
 
 
+def _plain_recursion(net, vertex, consumable):
+    """The matcher's semantics as one unshared recursion over each cell's
+    pattern trees: the reference the shared enumeration must reproduce,
+    consumed-set construction included."""
+    def match(p, s, phase):
+        if p.kind == LEAF:
+            return [(((p.pin, (s, phase)),), frozenset())]
+        out = []
+        if p.kind == P_INV:
+            out.extend(match(p.children[0], s, not phase))
+        if net.kind[s] == INV and consumable(s):
+            out.extend((b, c | {s})
+                       for b, c in match(p, net.fanins[s][0], not phase))
+        if (p.kind == P_NAND and phase == POS and net.kind[s] == NAND2
+                and consumable(s)):
+            a, b = net.fanins[s]
+            for sa, sb in ([(a, b)] if a == b else [(a, b), (b, a)]):
+                for lb, lc in match(p.children[0], sa, POS):
+                    for rb, rc in match(p.children[1], sb, POS):
+                        out.append((lb + rb, lc | rc | {s}))
+        return out
+
+    found = {POS: [], NEG: []}
+    if consumable(vertex):
+        for cell in CORELIB018.cells():
+            for pattern in cell.patterns:
+                for phase in (POS, NEG):
+                    for leaves, consumed in match(pattern, vertex, phase):
+                        if vertex in consumed:
+                            found[phase].append(Match(cell, vertex, phase,
+                                                      leaves, consumed))
+    out = {}
+    for phase in (POS, NEG):
+        seen, out[phase] = set(), []
+        for m in found[phase]:
+            key = (m.cell.name, tuple(sorted(m.leaves)), m.consumed)
+            if key not in seen:
+                seen.add(key)
+                out[phase].append(m)
+    return out
+
+
 _PROPERTY = settings(max_examples=80, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestSharedEnumerationIsExact:
     """Cone-keyed sharing returns exactly what a fresh enumeration does."""
+
+    @_PROPERTY
+    @given(_subjects())
+    def test_enumeration_equals_plain_recursion(self, subject):
+        net, root, members, gates = subject
+        matcher = Matcher(net, CORELIB018)
+        for v in sorted(members):
+            assert _signature(matcher.matches_in_tree(v, members)) == \
+                _signature(_plain_recursion(net, v, members.__contains__))
+        assert _signature(matcher.matches_at(root, all_consumable)) == \
+            _signature(_plain_recursion(net, root, all_consumable))
+
+    def test_consumed_sets_iterate_like_the_plain_recursion(self):
+        # Vertices 8 and 16 share a hash slot, so a consumed set's
+        # iteration order shows how it was built; the covering DP sums
+        # centroids in that order.
+        net = BaseNetwork("slots")
+        ins = [net.add_input(f"i{k}") for k in range(8)]
+        na = net.add_inv(ins[0])
+        for k in range(1, 8):
+            net.add_nand2(ins[0], ins[k])
+        nb = net.add_inv(ins[1])
+        out = net.add_nand2(na, nb)
+        assert (na, nb) == (8, 16)
+        members = frozenset({na, nb, out})
+        shared = Matcher(net, CORELIB018).matches_in_tree(out, members)
+        assert any(len(m.consumed) == 3 for m in shared[POS])
+        assert _signature(shared) == _signature(
+            _plain_recursion(net, out, members.__contains__))
 
     @_PROPERTY
     @given(_subjects())
