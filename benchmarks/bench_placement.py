@@ -1,12 +1,13 @@
-"""Placement & covering engines — vectorized vs scalar reference.
+"""Placement & covering kernels — vectorized vs scalar reference twins.
 
 The placement stack (quadratic seed, spreading, legalization,
-annealing) and the tree-covering DP both ship two engines: the flat
-numpy ``vector`` engine used by default and the scalar ``reference``
-oracles they replaced.  This bench runs the full map-and-place pipeline
-through both engines at growing scales, asserts the results are
-bit-identical, and records the per-phase timing breakdown to
-``BENCH_placement.json``.
+annealing) and the tree-covering DP run flat numpy kernels, each kept
+beside the scalar ``_*_reference`` twin it replaced.  This bench runs
+the full map-and-place pipeline twice at growing scales — once as
+shipped, once with every kernel swapped for its twin (the same swap
+``tests/place/test_engine_equivalence.py`` makes) — asserts the
+results are bit-identical, and records the per-phase timing breakdown
+to ``BENCH_placement.json``.
 
 The acceptance floor applies to the *combined* placement + covering
 time at the largest scale — the quantity the Figure-3 K-loop actually
@@ -19,6 +20,11 @@ import time
 
 import pytest
 
+import repro.core.covering as covering
+import repro.place.annealing as annealing
+import repro.place.legalize as legalize
+import repro.place.quadratic as quadratic
+import repro.place.spreading as spreading
 from bench_common import write_bench_json
 from conftest import publish
 from repro.circuits import spla_like
@@ -38,32 +44,49 @@ ANNEAL_MOVES = 4000
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: Full-run acceptance: combined placement + covering through the
-#: vector engine must at least halve the reference cost at the largest
-#: scale (ISSUE 6 tentpole criterion).
+#: vectorized kernels must at least halve the reference cost at the
+#: largest scale (ISSUE 6 tentpole criterion).
 PLACEMENT_SPEEDUP_FLOOR = 2.0
+
+#: (owner, vectorized kernel, scalar twin with the same signature).
+TWINS = [
+    (quadratic, "_assemble_vector", quadratic._assemble_reference),
+    (spreading, "_spread_vector", spreading._spread_reference),
+    (legalize, "_legalize_vector", legalize._legalize_reference),
+    (annealing, "_anneal_vector", annealing._anneal_reference),
+    (covering, "_cover_vector", covering._cover_reference),
+]
 
 _cache = {}
 
 
-def _run_engine(base, floorplan, matcher, engine):
-    """One full mapping + placement pass; returns results and timings."""
-    timings = {}
-    t0 = time.perf_counter()
-    positions = place_base_network(base, floorplan, engine=engine,
-                                   timings=timings)
-    t_place_ti = time.perf_counter() - t0
+def _run_pass(base, floorplan, matcher, reference):
+    """One full mapping + placement pass; returns results and timings.
 
-    t0 = time.perf_counter()
-    mapping = map_network(base, CORELIB018, area_congestion(0.001),
-                          partition_style="placement", positions=positions,
-                          matcher=matcher, engine=engine)
-    t_map = time.perf_counter() - t0
+    ``reference=True`` swaps every kernel for its scalar twin.  Each
+    pass starts from an empty cover memo so the DP really runs: the
+    pre-warm already covered every tree at this K.
+    """
+    matcher._cover_memo = None
+    with pytest.MonkeyPatch.context() as patch:
+        if reference:
+            for owner, name, twin in TWINS:
+                patch.setattr(owner, name, twin)
+        timings = {}
+        t0 = time.perf_counter()
+        positions = place_base_network(base, floorplan, timings=timings)
+        t_place_ti = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    placement = place_netlist(mapping.netlist, CORELIB018, floorplan,
-                              anneal_moves=ANNEAL_MOVES, engine=engine,
-                              timings=timings)
-    t_place_cells = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        mapping = map_network(base, CORELIB018, area_congestion(0.001),
+                              partition_style="placement",
+                              positions=positions, matcher=matcher)
+        t_map = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        placement = place_netlist(mapping.netlist, CORELIB018, floorplan,
+                                  anneal_moves=ANNEAL_MOVES, timings=timings)
+        t_place_cells = time.perf_counter() - t0
 
     t_dp = float(mapping.stats.get("cover.t_dp", 0.0))
     return {
@@ -98,11 +121,10 @@ def run_placement_engines():
                     positions=place_base_network(base, floorplan),
                     matcher=matcher)
 
-        results = {engine: _run_engine(base, floorplan, matcher, engine)
-                   for engine in ("vector", "reference")}
-        vec, ref = results["vector"], results["reference"]
+        vec = _run_pass(base, floorplan, matcher, reference=False)
+        ref = _run_pass(base, floorplan, matcher, reference=True)
 
-        # Equivalence gate: the engines must agree bitwise end to end.
+        # Equivalence gate: kernels and twins agree bitwise end to end.
         assert vec["positions"] == ref["positions"]
         assert vec["cells"] == ref["cells"]
         assert vec["placed"] == ref["placed"]
@@ -144,7 +166,7 @@ def test_placement_engines(benchmark):
           f"{r['vector_phases']['t_place_cells']:.3f}",
           f"{r['t_reference']:.3f}", f"{r['speedup']:.1f}x")
          for r in rows],
-        title="Placement & covering engines - vectorized vs scalar "
+        title="Placement & covering kernels - vectorized vs scalar "
               f"reference ({'smoke' if SMOKE else 'full'} mode; "
               "bit-identical results asserted per scale)")
     publish("placement_engines", table)
@@ -161,6 +183,6 @@ def test_placement_engines(benchmark):
     if not SMOKE:
         largest = rows[-1]
         assert largest["speedup"] >= PLACEMENT_SPEEDUP_FLOOR, \
-            (f"vector engine only {largest['speedup']:.1f}x over the "
+            (f"vectorized kernels only {largest['speedup']:.1f}x over the "
              f"reference at scale {largest['scale']:g} "
              f"(floor {PLACEMENT_SPEEDUP_FLOOR:.0f}x)")

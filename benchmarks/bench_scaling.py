@@ -35,7 +35,8 @@ from repro.library import CORELIB018
 from repro.network import decompose
 from repro.place import Floorplan, place_base_network
 from repro.place.placer import place_netlist
-from repro.route import GlobalRouter
+from repro.route import GlobalRouter, RoutingGrid
+from repro.route.reference import route_reference
 
 SCALES = [0.03, 0.06, 0.125]
 
@@ -47,7 +48,7 @@ SWEEP_K = [0.0, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.5]
 #: measuring a container's timer.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-#: Full-run acceptance: the vectorized engine must beat the per-edge
+#: Full-run acceptance: the vectorized router must beat the per-edge
 #: reference (the PR-2-era routing style) by this factor at the
 #: largest scale.
 ROUTING_SPEEDUP_FLOOR = 3.0
@@ -199,18 +200,19 @@ def test_sweep_execution_layer(benchmark, config):
 
 
 def run_routing_engines(config):
-    """Route identical placed netlists through both engines.
+    """Route identical placed netlists through the router and its twin.
 
-    The reference engine evaluates every edge in Python, the way the
+    :func:`route_reference` evaluates every edge in Python, the way the
     router worked before vectorization — it is both the correctness
-    oracle (results must match exactly) and the speedup baseline.
+    oracle (results must match exactly) and the speedup baseline.  Both
+    legs build a fresh grid per run, as :meth:`GlobalRouter.route` does.
     """
     scales = SCALES[:1] if SMOKE else SCALES
     rows = []
     for scale in scales:
         base = decompose(spla_like(scale))
         # A deliberately tight die (30 rows at full scale, shrunk with
-        # sqrt(scale)): the engines must negotiate hard for tracks,
+        # sqrt(scale)): the router must negotiate hard for tracks,
         # which is exactly the phase the vectorization targets.
         die_rows = max(10, round(30 * (scale / 0.125) ** 0.5))
         floorplan = Floorplan.from_rows(die_rows, aspect=1.0)
@@ -222,28 +224,33 @@ def run_routing_engines(config):
                                   seed=config.seed)
         points = placement.net_points(mapping.netlist)
 
+        router = GlobalRouter(floorplan, config.resources,
+                              gcell_rows=config.gcell_rows,
+                              max_iterations=config.max_route_iterations,
+                              seed=config.seed)
+
+        def reference():
+            grid = RoutingGrid(floorplan, config.resources,
+                               config.gcell_rows)
+            return route_reference(router, grid, points, {})
+
         results = {}
         times = {}
-        for engine in ("vector", "reference", "auto"):
-            router = GlobalRouter(floorplan, config.resources,
-                                  gcell_rows=config.gcell_rows,
-                                  max_iterations=config.max_route_iterations,
-                                  seed=config.seed, engine=engine)
+        for leg, run in (("vector", lambda: router.route(points)),
+                         ("reference", reference)):
             best = float("inf")
             for _ in range(3):             # best-of-3 absorbs timer noise
                 t0 = time.perf_counter()
-                results[engine] = router.route(points)
+                results[leg] = run()
                 best = min(best, time.perf_counter() - t0)
-            times[engine] = best
-        vec, ref, auto = (results["vector"], results["reference"],
-                          results["auto"])
+            times[leg] = best
+        vec, ref = results["vector"], results["reference"]
 
         # Equivalence gate: a speedup that changes answers is a bug.
-        for other in (ref, auto):
-            assert vec.violations == other.violations
-            assert vec.overflowed_nets == other.overflowed_nets
-            assert vec.total_wirelength == other.total_wirelength
-            assert vec.iterations == other.iterations
+        assert vec.violations == ref.violations
+        assert vec.overflowed_nets == ref.overflowed_nets
+        assert vec.total_wirelength == ref.total_wirelength
+        assert vec.iterations == ref.iterations
 
         rows.append({
             "scale": scale,
@@ -252,9 +259,7 @@ def run_routing_engines(config):
             "iterations": vec.iterations,
             "t_vector": times["vector"],
             "t_reference": times["reference"],
-            "t_auto": times["auto"],
             "speedup": times["reference"] / max(times["vector"], 1e-9),
-            "auto_speedup": times["reference"] / max(times["auto"], 1e-9),
             "t_init_route": vec.stats["route.t_init"],
             "t_negotiate": vec.stats["route.t_negotiate"],
             "nets_rerouted": vec.stats["route.nets_rerouted"],
@@ -269,16 +274,15 @@ def test_routing_engines(benchmark, config):
                               rounds=1, iterations=1)
     table = format_table(
         ["scale", "nets", "violations", "iters", "vector (s)",
-         "init/negotiate (s)", "reference (s)", "auto (s)", "speedup"],
+         "init/negotiate (s)", "reference (s)", "speedup"],
         [(f"{r['scale']:g}", r["nets"], r["violations"], r["iterations"],
           f"{r['t_vector']:.3f}",
           f"{r['t_init_route']:.3f}/{r['t_negotiate']:.3f}",
-          f"{r['t_reference']:.3f}", f"{r['t_auto']:.3f}",
-          f"{r['speedup']:.1f}x")
+          f"{r['t_reference']:.3f}", f"{r['speedup']:.1f}x")
          for r in rows],
-        title="Global-routing engines - vectorized vs per-edge reference "
+        title="Global routing - vectorized vs per-edge reference "
               f"({'smoke' if SMOKE else 'full'} mode; identical results "
-              "asserted per scale; auto picks by net count)")
+              "asserted per scale)")
     publish("routing_engines", table)
 
     payload = {
@@ -292,18 +296,6 @@ def test_routing_engines(benchmark, config):
     if not SMOKE:
         largest = rows[-1]
         assert largest["speedup"] >= ROUTING_SPEEDUP_FLOOR, \
-            (f"vectorized engine only {largest['speedup']:.1f}x over the "
+            (f"vectorized router only {largest['speedup']:.1f}x over the "
              f"reference at scale {largest['scale']:g} "
              f"(floor {ROUTING_SPEEDUP_FLOOR:.0f}x)")
-        # The shipped default (auto) must never meaningfully lose to the
-        # reference — the small-design regression the engine selector
-        # exists to fix.  Mid-scale sits near the engines' crossover
-        # where the two are a wall-clock tie, so allow timer noise
-        # there; the largest scale must stay a decisive win.
-        for r in rows:
-            assert r["auto_speedup"] >= 0.9, \
-                (f"auto engine slower than reference at scale "
-                 f"{r['scale']:g}: {r['auto_speedup']:.2f}x")
-        assert largest["auto_speedup"] >= 1.5, \
-            (f"auto engine only {largest['auto_speedup']:.1f}x over the "
-             f"reference at scale {largest['scale']:g}")

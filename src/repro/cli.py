@@ -30,13 +30,12 @@ and exits non-zero on regression,
 ``sta``     — map, place, route and time a circuit; print the critical path.
 
 ``flow``, ``ksweep``, ``ksearch`` and ``serve`` share one execution-flag
-block (``--rows/--workers/--route-engine/--place-engine/
---no-route-reuse``) and the observability
-flags: ``--trace
-FILE`` writes the run's span tree as JSON lines, ``--profile`` prints a
-per-phase time/counter breakdown after the run, and ``--artifacts DIR``
-dumps one congestion heatmap (CSV + ASCII) per evaluated K point
-(defaulting to ``<trace>.artifacts`` when ``--trace`` is given).
+block (``--rows/--workers/--no-route-reuse``) and the observability
+flags: ``--trace FILE`` writes the run's span tree as JSON lines,
+``--profile`` prints a per-phase time/counter breakdown after the run,
+and ``--artifacts DIR`` dumps one congestion heatmap (CSV + ASCII) per
+evaluated K point (defaulting to ``<trace>.artifacts`` when ``--trace``
+is given).
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_map(args: argparse.Namespace) -> int:
     network = _load_network(args.source)
     base = decompose(network)
-    if args.k > 0 or args.partition == "placement":
+    if args.k != 0 or args.partition == "placement":
         floorplan = Floorplan.for_area(
             base.num_gates() * 12.0 / (args.utilization / 100.0))
         positions = place_base_network(base, floorplan)
@@ -199,8 +198,7 @@ def _cmd_ksweep(args: argparse.Namespace) -> int:
     reused = sum(int(p.stats.get("route.routes_reused", 0)) for p in points)
     rerouted = sum(int(p.stats.get("route.segments_rerouted", 0))
                    for p in points)
-    print(f"router: engine={config.route_engine} "
-          f"routes_reused={reused} segments_rerouted={rerouted}",
+    print(f"router: routes_reused={reused} segments_rerouted={rerouted}",
           file=sys.stderr)
     print(k_sweep_table(points, title=f"{network.name} K sweep "
                                       f"(die {floorplan.area:.0f} um2, "
@@ -329,7 +327,7 @@ def _cmd_benchreport(args: argparse.Namespace) -> int:
 def _cmd_sta(args: argparse.Namespace) -> int:
     network = _load_network(args.source)
     base = decompose(network)
-    config = FlowConfig(library=CORELIB018, route_engine=args.route_engine)
+    config = FlowConfig(library=CORELIB018)
     floorplan = Floorplan.from_rows(args.rows) if args.rows else \
         Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
     positions = place_base_network(base, floorplan)
@@ -370,9 +368,8 @@ def _flow_parent() -> argparse.ArgumentParser:
 
     One parent parser instead of a per-subcommand copy: ``flow``,
     ``ksweep``, ``ksearch`` and ``serve`` all inherit
-    ``--rows/--workers/--route-engine/--place-engine/--no-route-reuse``
-    from here, so a new flag (or help-text fix) lands everywhere at
-    once.
+    ``--rows/--workers/--no-route-reuse`` from here, so a new flag (or
+    help-text fix) lands everywhere at once.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--rows", type=int, default=0,
@@ -380,14 +377,6 @@ def _flow_parent() -> argparse.ArgumentParser:
     parent.add_argument("--workers", type=int, default=1,
                         help="process fan-out for parallel stages "
                              "(results are identical to --workers 1)")
-    parent.add_argument("--route-engine", default="auto",
-                        choices=["auto", "vector", "reference"],
-                        help="global-routing engine (auto picks by design "
-                             "size; all engines give identical results)")
-    parent.add_argument("--place-engine", default="vector",
-                        choices=["vector", "reference"],
-                        help="placement/covering compute engine (reference "
-                             "= scalar oracles; identical results, slower)")
     parent.add_argument("--no-route-reuse", action="store_true",
                         help="disable cross-K route warm-starting")
     return parent
@@ -396,9 +385,7 @@ def _flow_parent() -> argparse.ArgumentParser:
 def _flow_config(args: argparse.Namespace) -> FlowConfig:
     """The :class:`FlowConfig` the shared execution flags describe."""
     return FlowConfig(library=CORELIB018, workers=args.workers,
-                      route_engine=args.route_engine,
-                      route_reuse=not args.no_route_reuse,
-                      place_engine=args.place_engine)
+                      route_reuse=not args.no_route_reuse)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,8 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sta.add_argument("--k", type=float, default=0.0)
     p_sta.add_argument("--paths", type=int, default=5,
                        help="how many worst endpoints to list")
-    p_sta.add_argument("--route-engine", default="auto",
-                       choices=["auto", "vector", "reference"])
     p_sta.set_defaults(func=_cmd_sta)
     return parser
 

@@ -50,10 +50,6 @@ from .objectives import CoverObjective
 from .partition import Tree
 from .wirecost import EUCLIDEAN, Point, PositionMap
 
-#: Covering engines: the array DP and the per-match reference oracle.
-VECTOR = "vector"
-REFERENCE = "reference"
-
 
 @dataclass
 class Solution:
@@ -333,31 +329,25 @@ class _MemoProbe:
 def cover_tree(network: BaseNetwork, tree: Tree, matcher: Matcher,
                library: CellLibrary, objective: CoverObjective,
                boundary: BoundaryInfo,
-               materialized: Set[int],
-               engine: str = VECTOR) -> TreeCover:
+               materialized: Set[int]) -> TreeCover:
     """Cover one subject tree bottom-up; returns the full DP table.
 
     ``materialized`` lists vertices whose signal exists as a net even if
     they are members of this tree (multi-fanout absorption); the root
     itself is excluded from that treatment since this call is what
-    materializes it.  ``engine`` selects the array DP (``"vector"``,
-    the default) or the per-match reference implementation
-    (``"reference"``); the two are bit-identical.
+    materializes it.  The array DP is bit-identical to the per-match
+    scalar DP of :func:`_cover_reference`.
     """
-    if engine == VECTOR:
-        return _cover_vector(network, tree, matcher, library, objective,
-                             boundary, materialized)
-    if engine == REFERENCE:
-        return _cover_reference(network, tree, matcher, library, objective,
-                                boundary, materialized)
-    raise MappingError(f"unknown covering engine {engine!r}")
+    return _cover_vector(network, tree, matcher, library, objective,
+                         boundary, materialized)
 
 
 def _cover_reference(network: BaseNetwork, tree: Tree, matcher: Matcher,
                      library: CellLibrary, objective: CoverObjective,
                      boundary: BoundaryInfo,
                      materialized: Set[int]) -> TreeCover:
-    """The per-match scalar DP (the oracle the vector engine must match)."""
+    """The per-match scalar DP (the oracle :func:`_cover_vector` must
+    match)."""
     members = tree.members
     root = tree.root
     inv = library.inverter

@@ -33,8 +33,7 @@ from ..network.netlist import MappedNetlist
 from ..place.floorplan import Floorplan
 from ..place.placer import Placement, place_base_network, place_netlist
 from ..route.grid import RoutingResources
-from ..route.router import AUTO, VECTOR, GlobalRouter, RouteCache, \
-    RoutingResult
+from ..route.router import GlobalRouter, RouteCache, RoutingResult
 from ..synth.optimize import optimize
 from ..timing.sta import StaticTimingAnalyzer, TimingReport
 from .mapper import MappingResult, map_network
@@ -57,21 +56,9 @@ class FlowConfig:
     (K points of a sweep, placement attempts of an evaluation); 1 keeps
     everything serial.  Parallel runs are bit-identical to serial ones.
 
-    ``route_engine`` selects the global-routing implementation
-    (``"vector"`` — the numpy flat-edge engine — ``"reference"``, the
-    per-edge oracle, or ``"auto"``, which picks per problem size; all
-    produce identical results).
     ``route_reuse`` enables cross-K route warm-starting in the serial
     sweep loops: nets whose pin GCell signature is unchanged between
     adjacent K netlists start from the previous K's final route.
-    ``place_engine`` selects the placement/covering compute engine
-    (``"vector"`` — batched numpy kernels — or ``"reference"``, the
-    scalar oracles; bit-identical results either way).
-    ``cover_memo`` enables the per-matcher covering memo: trees whose
-    DP inputs (member positions, boundary values, objective) are
-    unchanged — or bracketed by two K points that picked the same
-    assignment — reuse the previous cover instead of re-running the
-    DP.  Memo hits are pure speedups; the chosen covers are identical.
     """
 
     library: CellLibrary
@@ -83,10 +70,7 @@ class FlowConfig:
     seed: int = 0
     place_attempts: int = 1
     workers: int = 1
-    route_engine: str = AUTO
     route_reuse: bool = True
-    place_engine: str = VECTOR
-    cover_memo: bool = True
 
 
 @dataclass
@@ -139,11 +123,11 @@ def _placement_attempt(payload: Tuple[Any, ...], attempt: int) -> EvalPoint:
             netlist, config.library, floorplan,
             seed_positions=(seed_positions if config.use_seed_positions
                             else None),
-            seed=seed, engine=config.place_engine, timings=place_timings)
+            seed=seed, timings=place_timings)
     router = GlobalRouter(floorplan, config.resources,
                           gcell_rows=config.gcell_rows,
                           max_iterations=config.max_route_iterations,
-                          seed=seed, engine=config.route_engine)
+                          seed=seed)
     with tracer.span("route") as sp_route:
         points = placement.net_points(netlist)
         routing = (router.route(points, cache=route_cache)
@@ -267,9 +251,7 @@ def run_k_point(base: BaseNetwork, positions: PositionMap,
         mapping = map_network(base, config.library, objective,
                               partition_style=config.partition_style,
                               positions=positions,
-                              partition=partition, matcher=matcher,
-                              engine=config.place_engine,
-                              cover_memo=config.cover_memo)
+                              partition=partition, matcher=matcher)
     sp_map.counters.absorb(mapping.stats)
     point = evaluate_netlist(mapping.netlist, floorplan, config,
                              seed_positions=mapping.instance_positions, k=k,
@@ -419,8 +401,7 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
     identical to an uninjected sweep's.
     """
     if positions is None:
-        positions = place_base_network(base, floorplan, seed=config.seed,
-                                       engine=config.place_engine)
+        positions = place_base_network(base, floorplan, seed=config.seed)
     nworkers = max(1, config.workers if workers is None else workers)
     part = partition if partition is not None else \
         make_partition(base, config.partition_style, positions=positions)
@@ -523,8 +504,7 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
     pure speedups, identical results.
     """
     if positions is None:
-        positions = place_base_network(base, floorplan, seed=config.seed,
-                                       engine=config.place_engine)
+        positions = place_base_network(base, floorplan, seed=config.seed)
     # The loop is inherently sequential (each K's verdict gates the
     # next), but the K-independent work — partition and match
     # enumeration — is still hoisted out of it, and routes of unchanged

@@ -372,8 +372,7 @@ def k_search(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
                          f"expected one of {STRATEGIES}")
     nworkers = max(1, config.workers if workers is None else workers)
     if positions is None:
-        positions = place_base_network(base, floorplan, seed=config.seed,
-                                       engine=config.place_engine)
+        positions = place_base_network(base, floorplan, seed=config.seed)
     part = partition if partition is not None else \
         make_partition(base, config.partition_style, positions=positions)
     span_cm = (tracer.span("ksearch", strategy=strategy, points=len(grid))

@@ -26,7 +26,6 @@ from ..obs import StatsRegistry
 from ..network.dag import BaseNetwork
 from ..network.netlist import MappedNetlist
 from .covering import BoundaryInfo, CoverMemo, TreeCover, cover_tree
-from .covering import VECTOR as VECTOR_COVER
 from .matching import Matcher, POS
 from .objectives import CoverObjective, min_area
 from .partition import (
@@ -80,15 +79,12 @@ class TechnologyMapper:
     matcher:
         A shared :class:`Matcher` over ``network``/``library``.  Its
         per-``(vertex, tree)`` memo makes repeated runs (one per K)
-        enumerate each tree's matches once.
-    cover_memo:
-        Enable the cross-K covering-DP memo
-        (:class:`repro.core.covering.CoverMemo`, stored on the shared
-        matcher): a tree whose DP inputs are unchanged and whose
-        optimal assignment agrees at two evaluated Ks bracketing this
-        run's K skips the DP entirely.  Exact — reused covers commit
-        bit-identical netlists — and on by default; disable to A/B the
-        memo itself.
+        enumerate each tree's matches once, and it carries the cross-K
+        covering-DP memo (:class:`repro.core.covering.CoverMemo`): a
+        tree whose DP inputs are unchanged and whose optimal assignment
+        agrees at two evaluated Ks bracketing this run's K skips the DP
+        entirely.  Exact — reused covers commit bit-identical netlists.
+        A fresh matcher starts with an empty memo.
     """
 
     def __init__(self, network: BaseNetwork, library: CellLibrary,
@@ -97,14 +93,11 @@ class TechnologyMapper:
                  positions: Optional[PositionMap] = None,
                  max_tree_size: Optional[int] = None,
                  partition: Optional[Partition] = None,
-                 matcher: Optional[Matcher] = None,
-                 engine: str = VECTOR_COVER,
-                 cover_memo: bool = True):  # noqa: D107
+                 matcher: Optional[Matcher] = None):  # noqa: D107
         self.network = network
         self.library = library
         self.objective = objective or min_area()
         self.partition_style = partition_style
-        self.engine = engine
         needs_positions = (partition_style == PLACEMENT
                            or self.objective.uses_positions)
         if positions is None:
@@ -117,7 +110,6 @@ class TechnologyMapper:
         self.partition = partition
         self.matcher = matcher if matcher is not None \
             else Matcher(network, library)
-        self.cover_memo = cover_memo
 
     def run(self) -> MappingResult:
         """Execute the full mapping flow and return the result."""
@@ -137,12 +129,10 @@ class TechnologyMapper:
         t_partition = time.perf_counter() - t0
         builder = _NetlistBuilder(network, self.library, part,
                                   self.positions, self.objective)
-        memo: Optional[CoverMemo] = None
-        if self.cover_memo:
-            memo = getattr(matcher, "_cover_memo", None)
-            if memo is None:
-                memo = CoverMemo()
-                matcher._cover_memo = memo
+        memo = getattr(matcher, "_cover_memo", None)
+        if memo is None:
+            memo = CoverMemo()
+            matcher._cover_memo = memo
         memo_hits = 0
         memo_credit = 0
         t0 = time.perf_counter()
@@ -150,17 +140,14 @@ class TechnologyMapper:
         for root in part.roots:
             tree = part.trees[root]
             t1 = time.perf_counter()
-            probe = (memo.probe(tree, part.materialized, matcher,
-                                self.objective, builder.boundary)
-                     if memo is not None else None)
-            cover = probe.lookup() if probe is not None else None
+            probe = memo.probe(tree, part.materialized, matcher,
+                               self.objective, builder.boundary)
+            cover = probe.lookup()
             if cover is None:
                 cover = cover_tree(network, tree, matcher,
                                    self.library, self.objective,
-                                   builder.boundary, part.materialized,
-                                   engine=self.engine)
-                if probe is not None:
-                    probe.store(cover)
+                                   builder.boundary, part.materialized)
+                probe.store(cover)
             else:
                 memo_hits += 1
                 memo_credit += len(tree.members)
@@ -374,14 +361,11 @@ def map_network(network: BaseNetwork, library: CellLibrary,
                 positions: Optional[PositionMap] = None,
                 max_tree_size: Optional[int] = None,
                 partition: Optional[Partition] = None,
-                matcher: Optional[Matcher] = None,
-                engine: str = VECTOR_COVER,
-                cover_memo: bool = True) -> MappingResult:
+                matcher: Optional[Matcher] = None) -> MappingResult:
     """One-call convenience wrapper around :class:`TechnologyMapper`."""
     mapper = TechnologyMapper(network, library, objective=objective,
                               partition_style=partition_style,
                               positions=positions,
                               max_tree_size=max_tree_size,
-                              partition=partition, matcher=matcher,
-                              engine=engine, cover_memo=cover_memo)
+                              partition=partition, matcher=matcher)
     return mapper.run()

@@ -25,6 +25,7 @@ scope here).  The paper's own objective is the area/wire form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -47,8 +48,9 @@ class CoverObjective:
     def __post_init__(self) -> None:  # noqa: D105
         if self.mode not in ("area", "delay"):
             raise ValueError(f"unknown objective mode {self.mode!r}")
-        if self.k < 0:
-            raise ValueError("congestion factor K must be non-negative")
+        if not 0 <= self.k < math.inf:
+            raise ValueError("congestion factor K must be finite and "
+                             "non-negative")
 
     def cost(self, area: float, wire: float, arrival: float) -> float:
         """The scalar the DP minimises (Eq. 5 for area mode)."""

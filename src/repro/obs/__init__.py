@@ -13,12 +13,6 @@ through:
   heatmaps (CSV + ASCII).
 """
 
-# Import order matters: registry/tracer/metrics are leaf modules, while
-# artifacts/profile reach back through repro.io -> repro.place ->
-# repro.library, whose cache module imports StatsRegistry from here.
-# Loading the leaves first means that even when this package is the
-# *entry point* of that cycle, the partially initialized module already
-# exposes the names the cycle needs.
 from .registry import (
     COUNT,
     ENV,

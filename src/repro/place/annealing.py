@@ -18,10 +18,6 @@ from .floorplan import Floorplan
 
 Point = Tuple[float, float]
 
-#: Annealing engines: batched HPWL delta evaluation vs per-net loops.
-VECTOR = "vector"
-REFERENCE = "reference"
-
 
 def hpwl(positions: np.ndarray, nets: Sequence[Sequence[int]],
          fixed: Sequence[Sequence[Point]]) -> float:
@@ -41,24 +37,28 @@ def hpwl(positions: np.ndarray, nets: Sequence[Sequence[int]],
 def anneal(positions: np.ndarray, nets: Sequence[Sequence[int]],
            fixed: Sequence[Sequence[Point]], floorplan: Floorplan,
            moves: int = 20_000, seed: int = 0,
-           start_temp: Optional[float] = None,
-           engine: str = VECTOR) -> np.ndarray:
+           start_temp: Optional[float] = None) -> np.ndarray:
     """Anneal by swapping cell positions; returns improved positions.
 
     Swapping positions of equal-footprint treatment keeps legality
     approximately intact for the uniform-size use case (base networks);
     for mapped netlists run :func:`repro.place.legalize.legalize_rows`
-    afterwards.  ``engine="vector"`` evaluates the touched nets of each
-    move with one batched gather over padded per-net index arrays and
-    caches accepted net lengths; the RNG call sequence and every
-    accept/reject decision match the reference bit for bit.
+    afterwards.  Each move evaluates its touched nets with one batched
+    gather over padded per-net index arrays and caches accepted net
+    lengths; the RNG call sequence and every accept/reject decision
+    match :func:`_anneal_reference` bit for bit.
     """
-    n = positions.shape[0]
-    if n < 2 or moves <= 0:
+    if positions.shape[0] < 2 or moves <= 0:
         return positions.copy()
-    if engine == VECTOR:
-        return _anneal_vector(positions, nets, fixed, moves, seed,
-                              start_temp)
+    return _anneal_vector(positions, nets, fixed, moves, seed, start_temp)
+
+
+def _anneal_reference(positions: np.ndarray, nets: Sequence[Sequence[int]],
+                      fixed: Sequence[Sequence[Point]], moves: int,
+                      seed: int, start_temp: Optional[float]) -> np.ndarray:
+    """Per-net loop annealer (the oracle :func:`_anneal_vector` must
+    match)."""
+    n = positions.shape[0]
     rng = random.Random(seed)
     pos = positions.astype(float).copy()
 

@@ -19,24 +19,17 @@ from .floorplan import Floorplan
 
 Point = Tuple[float, float]
 
-#: Legalization engines: vectorized row-window scoring vs the scalar
-#: per-row scan.
-VECTOR = "vector"
-REFERENCE = "reference"
-
 
 def legalize_rows(positions: np.ndarray, widths: Sequence[float],
                   floorplan: Floorplan,
-                  row_search: int = 6, engine: str = VECTOR) -> np.ndarray:
+                  row_search: int = 6) -> np.ndarray:
     """Legalize (n, 2) positions into rows; returns new (n, 2) array.
 
     Each output position is the *center* of the placed cell;
     y coordinates are row centers.  ``row_search`` bounds how many rows
     above/below the target row are tried before widening the search.
-    ``engine="vector"`` scores the whole candidate-row window with one
-    array expression per cell; bit-identical to the reference scan
-    (``np.argmin`` returns the first minimum, matching the strict-``<``
-    update rule).
+    Row choices are bit-identical to the scalar scan of
+    :func:`_legalize_reference`.
     """
     n = positions.shape[0]
     widths = np.asarray(widths, dtype=float)
@@ -51,12 +44,8 @@ def legalize_rows(positions: np.ndarray, widths: Sequence[float],
     cursors = np.zeros(floorplan.num_rows)
     out = np.zeros_like(positions, dtype=float)
     order = np.argsort(positions[:, 0], kind="stable")
-    if engine == VECTOR:
-        _legalize_vector(positions, widths, floorplan, row_search,
-                         cursors, out, order)
-    else:
-        _legalize_reference(positions, widths, floorplan, row_search,
-                            cursors, out, order)
+    _legalize_vector(positions, widths, floorplan, row_search,
+                     cursors, out, order)
     return out
 
 
@@ -119,6 +108,8 @@ def _legalize_reference(positions: np.ndarray, widths: np.ndarray,
                         floorplan: Floorplan, row_search: int,
                         cursors: np.ndarray, out: np.ndarray,
                         order: np.ndarray) -> None:
+    """Scalar per-row scan (the oracle :func:`_legalize_vector` must
+    match)."""
     for i in order:
         x, y = positions[i]
         width = widths[i]

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import PlacementError
 from .floorplan import Floorplan
-from .quadratic import QpNet, VECTOR, solve_quadratic
+from .quadratic import QpNet, solve_quadratic
 
 Point = Tuple[float, float]
 
@@ -41,14 +41,13 @@ BALANCE_SLACK = 0.12
 
 def mincut_place(num_cells: int, nets: Sequence[QpNet],
                  widths: Sequence[float], floorplan: Floorplan,
-                 seed: int = 0, engine: str = VECTOR,
+                 seed: int = 0,
                  timings: Optional[Dict[str, float]] = None) -> np.ndarray:
     """Place ``num_cells`` cells; returns (n, 2) center positions.
 
     ``nets`` use the same structure as the quadratic solver (movable
     indices + fixed points), so the two global placers are
-    interchangeable.  ``engine`` selects the assembly engine of the
-    seeding quadratic solve; ``timings`` accumulates per-phase seconds
+    interchangeable.  ``timings`` accumulates per-phase seconds
     (``t_quadratic`` for the seed solve, ``t_mincut`` for FM).
     """
     if num_cells == 0:
@@ -58,7 +57,7 @@ def mincut_place(num_cells: int, nets: Sequence[QpNet],
         raise PlacementError("widths length does not match cell count")
     center = (floorplan.width / 2.0, floorplan.height / 2.0)
     t0 = time.perf_counter()
-    guess = solve_quadratic(num_cells, nets, default=center, engine=engine)
+    guess = solve_quadratic(num_cells, nets, default=center)
     if timings is not None:
         timings["t_quadratic"] = timings.get("t_quadratic", 0.0) \
             + (time.perf_counter() - t0)

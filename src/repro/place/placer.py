@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from ..geometry import PositionMap
 from ..errors import PlacementError
-from ..library.cell import CellLibrary
 from ..network.dag import BaseNetwork
 from ..network.netlist import MappedNetlist
 from .annealing import anneal
@@ -31,14 +30,15 @@ from .mincut import mincut_place
 from .quadratic import QpNet, solve_quadratic
 from .spreading import spread
 
+if TYPE_CHECKING:
+    # Annotation only: placement needs just ``cell_width``, and a
+    # runtime import would close the cycle library -> obs -> io -> place.
+    from ..library.cell import CellLibrary
+
 #: Solve → spread → anchor rounds of the global placement loop.
 GLOBAL_ITERATIONS = 3
 #: Anchor-net weight schedule per iteration (pull toward spread slots).
 ANCHOR_WEIGHTS = (0.12, 0.30, 0.60)
-
-#: Placement engines (threaded through to every kernel).
-VECTOR = "vector"
-REFERENCE = "reference"
 
 #: Per-phase timing accumulator: phase key -> seconds.
 Timings = Dict[str, float]
@@ -54,7 +54,6 @@ def _global_place(num_movable: int, nets: List[QpNet], floorplan: Floorplan,
                   weights: Optional[np.ndarray] = None,
                   iterations: int = GLOBAL_ITERATIONS,
                   method: str = "mincut", seed: int = 0,
-                  engine: str = VECTOR,
                   timings: Optional[Timings] = None) -> np.ndarray:
     """Global placement: min-cut bisection (default) or iterated quadratic.
 
@@ -66,15 +65,15 @@ def _global_place(num_movable: int, nets: List[QpNet], floorplan: Floorplan,
     if method == "mincut":
         cell_widths = weights if weights is not None else np.ones(num_movable)
         return mincut_place(num_movable, nets, cell_widths, floorplan,
-                            seed=seed, engine=engine, timings=timings)
+                            seed=seed, timings=timings)
     if method != "quadratic":
         raise PlacementError(f"unknown placement method {method!r}")
     center = (floorplan.width / 2.0, floorplan.height / 2.0)
     t0 = time.perf_counter()
-    solved = solve_quadratic(num_movable, nets, default=center, engine=engine)
+    solved = solve_quadratic(num_movable, nets, default=center)
     _tick(timings, "t_quadratic", t0)
     t0 = time.perf_counter()
-    spread_pos = spread(solved, floorplan, weights=weights, engine=engine)
+    spread_pos = spread(solved, floorplan, weights=weights)
     _tick(timings, "t_spread", t0)
     for round_ in range(1, iterations):
         weight = ANCHOR_WEIGHTS[min(round_ - 1, len(ANCHOR_WEIGHTS) - 1)]
@@ -88,12 +87,11 @@ def _global_place(num_movable: int, nets: List[QpNet], floorplan: Floorplan,
         # clique weight formula: a 2-pin net has weight 1, so emulate a
         # weaker pull by mixing previous and new solutions instead.
         t0 = time.perf_counter()
-        solved_new = solve_quadratic(num_movable, anchored, default=center,
-                                     engine=engine)
+        solved_new = solve_quadratic(num_movable, anchored, default=center)
         _tick(timings, "t_quadratic", t0)
         solved = (1.0 - weight) * solved_new + weight * spread_pos
         t0 = time.perf_counter()
-        spread_pos = spread(solved, floorplan, weights=weights, engine=engine)
+        spread_pos = spread(solved, floorplan, weights=weights)
         _tick(timings, "t_spread", t0)
     return spread_pos
 
@@ -148,7 +146,6 @@ class Placement:
 
 def place_base_network(network: BaseNetwork, floorplan: Floorplan,
                        seed: int = 0, method: str = "mincut",
-                       engine: str = VECTOR,
                        timings: Optional[Timings] = None) -> PositionMap:
     """Place the technology-independent network on the layout image.
 
@@ -181,8 +178,7 @@ def place_base_network(network: BaseNetwork, floorplan: Floorplan,
             nets.append(QpNet(movables=movables, fixed=fixed))
 
     spread_pos = _global_place(len(gate_ids), nets, floorplan,
-                               method=method, seed=seed, engine=engine,
-                               timings=timings)
+                               method=method, seed=seed, timings=timings)
 
     points: List[Point] = [(0.0, 0.0)] * num_vertices
     for name, v in network.input_vertex.items():
@@ -196,7 +192,7 @@ def place_netlist(netlist: MappedNetlist, library: CellLibrary,
                   floorplan: Floorplan,
                   seed_positions: Optional[Dict[str, Point]] = None,
                   anneal_moves: int = 0, seed: int = 0,
-                  method: str = "mincut", engine: str = VECTOR,
+                  method: str = "mincut",
                   timings: Optional[Timings] = None) -> Placement:
     """Place a mapped netlist: quadratic + spreading + legalization.
 
@@ -239,16 +235,16 @@ def place_netlist(netlist: MappedNetlist, library: CellLibrary,
 
     spread_pos = _global_place(len(inst_names), nets, floorplan,
                                weights=np.asarray(widths), method=method,
-                               seed=seed, engine=engine, timings=timings)
+                               seed=seed, timings=timings)
     if anneal_moves > 0:
         net_movables = [n.movables for n in nets]
         net_fixed = [n.fixed for n in nets]
         t0 = time.perf_counter()
         spread_pos = anneal(spread_pos, net_movables, net_fixed, floorplan,
-                            moves=anneal_moves, seed=seed, engine=engine)
+                            moves=anneal_moves, seed=seed)
         _tick(timings, "t_anneal", t0)
     t0 = time.perf_counter()
-    legal = legalize_rows(spread_pos, widths, floorplan, engine=engine)
+    legal = legalize_rows(spread_pos, widths, floorplan)
     _tick(timings, "t_legalize", t0)
     check_legal(legal, widths, floorplan)
     positions = {name: (float(legal[i, 0]), float(legal[i, 1]))

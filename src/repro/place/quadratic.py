@@ -24,10 +24,6 @@ Point = Tuple[float, float]
 #: Nets with more pins than this use a star node instead of a clique.
 CLIQUE_LIMIT = 6
 
-#: Assembly engines: batched COO construction and the per-net oracle.
-VECTOR = "vector"
-REFERENCE = "reference"
-
 
 @dataclass
 class QpNet:
@@ -46,26 +42,18 @@ class QpNet:
 
 
 def solve_quadratic(num_movable: int, nets: Sequence[QpNet],
-                    default: Point = (0.0, 0.0),
-                    engine: str = VECTOR) -> np.ndarray:
+                    default: Point = (0.0, 0.0)) -> np.ndarray:
     """Solve the quadratic placement; returns an (n, 2) position array.
 
     Nodes not touched by any net stay at ``default``.  Raises
     :class:`PlacementError` when the system is singular (no fixed
     terminal anywhere in a connected component is tolerated by falling
-    back to a tiny regularisation).  ``engine`` selects the batched
-    Laplacian assembly (``"vector"``) or the per-net reference loop;
-    both build bit-identical systems.
+    back to a tiny regularisation).  The Laplacian comes from the
+    batched assembly, bit-identical to the per-net reference loop.
     """
     if num_movable == 0:
         return np.zeros((0, 2))
-    if engine == VECTOR:
-        diag, bx, by, lap = _assemble_vector(num_movable, nets)
-    elif engine == REFERENCE:
-        diag, bx, by, lap = _assemble_reference(num_movable, nets)
-    else:
-        from ..errors import PlacementError
-        raise PlacementError(f"unknown quadratic engine {engine!r}")
+    diag, bx, by, lap = _assemble_vector(num_movable, nets)
     x = _solve(lap, bx)
     y = _solve(lap, by)
     out = np.column_stack([x[:num_movable], y[:num_movable]])

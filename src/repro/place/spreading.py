@@ -19,22 +19,16 @@ from .floorplan import Floorplan
 #: Stop recursing below this population and scale cells into the region.
 LEAF_POPULATION = 4
 
-#: Spreading engines: level-batched sorting vs the recursive oracle.
-VECTOR = "vector"
-REFERENCE = "reference"
-
 
 def spread(positions: np.ndarray, floorplan: Floorplan,
-           weights: Optional[np.ndarray] = None,
-           engine: str = VECTOR) -> np.ndarray:
+           weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Spread ``positions`` (n, 2) uniformly over the core.
 
     ``weights`` (cell areas) bias the split so each sub-region receives
     population proportional to its capacity; uniform when omitted.
-    Returns a new (n, 2) array.  ``engine="vector"`` batches every
-    region of a recursion level into one stable lexsort and scales all
-    leaf regions together; results are bit-identical to the recursive
-    reference.
+    Returns a new (n, 2) array.  Every region of a recursion level is
+    batched into one stable lexsort and all leaf regions are scaled
+    together; results are bit-identical to :func:`_spread_reference`.
     """
     n = positions.shape[0]
     if n == 0:
@@ -42,12 +36,7 @@ def spread(positions: np.ndarray, floorplan: Floorplan,
     if weights is None:
         weights = np.ones(n)
     out = positions.astype(float).copy()
-    if engine == VECTOR:
-        _spread_vector(out, weights, floorplan)
-        return out
-    index = np.arange(n)
-    _spread_region(out, index, weights,
-                   0.0, 0.0, floorplan.width, floorplan.height, vertical=True)
+    _spread_vector(out, weights, floorplan)
     return out
 
 
@@ -141,6 +130,14 @@ def _scale_leaves(out: np.ndarray,
             / safe_span[:, None] * ((hi - pad) - (lo + pad))[:, None]
         centered = ((lo + hi) / 2.0)[:, None]
         out[idx, axis] = np.where(degenerate[:, None], centered, scaled)
+
+
+def _spread_reference(out: np.ndarray, weights: np.ndarray,
+                      floorplan: Floorplan) -> None:
+    """Recursive median bisection (the oracle :func:`_spread_vector`
+    must match)."""
+    _spread_region(out, np.arange(out.shape[0]), weights,
+                   0.0, 0.0, floorplan.width, floorplan.height, vertical=True)
 
 
 def _spread_region(out: np.ndarray, index: np.ndarray, weights: np.ndarray,

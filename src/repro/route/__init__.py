@@ -4,9 +4,6 @@ from .congestion import CongestionStats, congestion_stats, render_congestion_map
 from .grid import GCell, HORIZONTAL, RoutingGrid, RoutingResources, VERTICAL
 from .maze import l_route_edges, maze_route
 from .router import (
-    ENGINES,
-    REFERENCE,
-    VECTOR,
     GlobalRouter,
     NetRoute,
     RouteCache,
@@ -17,17 +14,14 @@ from .steiner import gcell_signature, hpwl_of_points, manhattan, mst_segments
 
 __all__ = [
     "CongestionStats",
-    "ENGINES",
     "GCell",
     "GlobalRouter",
     "HORIZONTAL",
     "NetRoute",
-    "REFERENCE",
     "RouteCache",
     "RoutingGrid",
     "RoutingResources",
     "RoutingResult",
-    "VECTOR",
     "VERTICAL",
     "congestion_stats",
     "gcell_signature",

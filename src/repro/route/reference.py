@@ -28,7 +28,6 @@ from .router import (
     PENALTY_STEP,
     PLATEAU_RATIO,
     PLATEAU_ROUNDS,
-    REFERENCE,
     NetRoute,
     RoutingResult,
     Signature,
@@ -126,7 +125,13 @@ def route_reference(router, grid: RoutingGrid,
                     net_points: Dict[str, List[Tuple[float, float]]],
                     warm: Dict[Signature, List[np.ndarray]]
                     ) -> RoutingResult:
-    """Route all nets with the per-edge reference engine."""
+    """Route all nets edge by edge.
+
+    Same signature and result as
+    :meth:`repro.route.router.GlobalRouter._route_vector` (``router`` is
+    the :class:`~repro.route.router.GlobalRouter` whose seed and
+    iteration budget apply).
+    """
     t0 = time.perf_counter()
     names = sorted(net_points)
     routes: Dict[str, NetRoute] = {}
@@ -221,4 +226,4 @@ def route_reference(router, grid: RoutingGrid,
     return RoutingResult(grid=grid, routes=routes, violations=violations,
                          overflowed_nets=overflowed_nets,
                          iterations=iterations, total_wirelength=total_wl,
-                         engine=REFERENCE, stats=stats)
+                         stats=stats)

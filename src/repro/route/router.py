@@ -8,23 +8,20 @@ survives the final round is reported as **routing violations** — the
 proxy for the paper's detailed-routing violation counts (zero overflow
 ⇒ routable; see DESIGN.md on this substitution).
 
-Two engines implement the same algorithm:
-
-* ``engine="vector"`` (default) — routes are flat numpy edge-id arrays;
-  demand accumulation, victim selection and L/Z candidate costing are
-  array operations.  Rip-up is *incremental*: only segments crossing an
-  overflowed edge are ripped, and each is first offered the cheapest
-  overflow-free L/Z pattern (vectorized gathers) before paying for a
-  maze search.
-* ``engine="reference"`` — the per-edge pure-Python rendition of the
-  identical algorithm (see :mod:`repro.route.reference`), retained as
-  the equivalence oracle: both engines produce the same violations,
-  overflowed-net counts and wirelength (tested property).
+Routes are flat numpy edge-id arrays; demand accumulation, victim
+selection and L/Z candidate costing are array operations.  Rip-up is
+*incremental*: only segments crossing an overflowed edge are ripped,
+and each is first offered the cheapest overflow-free L/Z pattern
+(vectorized gathers) before paying for a maze search.  The per-edge
+pure-Python rendition of the identical algorithm,
+:func:`repro.route.reference.route_reference`, is kept as the
+equivalence oracle: tests assert both produce the same routes,
+violations, overflowed-net counts and wirelength.
 
 All cost comparisons are sums of exactly-representable float64 values
 (unit costs, integer history, ``penalty × integer overflow``, and
-integer demand sums divided once by capacity), so the two engines take
-bit-identical decisions despite summing in different orders.
+integer demand sums divided once by capacity), so the two renditions
+take bit-identical decisions despite summing in different orders.
 
 The router ``seed`` feeds the negotiation's victim ordering (see
 :func:`victim_order`), which is what lets the placement-retry loop in
@@ -46,7 +43,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import RoutingError
 from ..obs import StatsRegistry
 from ..place.floorplan import Floorplan
 from .grid import GCell, HORIZONTAL, RoutingGrid, RoutingResources, VERTICAL
@@ -62,19 +58,6 @@ from .steiner import gcell_signature, mst_segments
 Point = Tuple[float, float]
 Edge = Tuple[int, int, int]
 Signature = Tuple[GCell, ...]
-
-#: Engine names.
-VECTOR = "vector"
-REFERENCE = "reference"
-AUTO = "auto"
-ENGINES = (VECTOR, REFERENCE, AUTO)
-
-#: ``engine="auto"`` routes designs below this many nets through the
-#: per-edge reference engine (lower fixed cost) and everything else
-#: through the vectorized engine.  Both engines produce bit-identical
-#: results, so the split is purely a wall-clock calibration (see
-#: benchmarks/bench_scaling.py::test_routing_engines).
-AUTO_NET_THRESHOLD = 64
 
 #: Overflow-penalty growth per negotiation round.
 PENALTY_STEP = 4.0
@@ -112,7 +95,6 @@ class RoutingResult:
     overflowed_nets: int
     iterations: int
     total_wirelength: float       # µm
-    engine: str = VECTOR
     #: Router phase timings, work counters and result counts, all under
     #: the ``route.`` namespace: ``route.t_init`` / ``route.t_negotiate``
     #: (times), ``route.nets_rerouted`` / ``route.segments_rerouted`` /
@@ -121,7 +103,7 @@ class RoutingResult:
     #: ``route.wirelength`` (metric).  ``route.reuse_skipped`` (work) is
     #: 1 when a non-empty warm cache was presented but matched nothing
     #: because the routing grid changed shape (recorded by
-    #: :meth:`GlobalRouter.route` on both engines).
+    #: :meth:`GlobalRouter.route`).
     stats: StatsRegistry = field(default_factory=StatsRegistry)
 
     @property
@@ -187,7 +169,7 @@ def _router_stats(t_init: float, t_negotiate: float, nets_rerouted: int,
                   segments_rerouted: int, routes_reused: int,
                   iterations: int, violations: int, overflowed_nets: int,
                   wirelength: float) -> StatsRegistry:
-    """The routing stats registry — one shape for both engines.
+    """The routing stats registry (shared with the reference router).
 
     Violations and overflowed nets are *results* (deterministic
     counts); reroute and reuse tallies are *work* (they vary with
@@ -214,9 +196,10 @@ def victim_order(count: int, rng: np.random.Generator) -> np.ndarray:
 
     Victims are collected in canonical (net name, segment index) order;
     this permutation — drawn from the router's seeded RNG stream, one
-    draw per negotiation round — decides who reroutes first.  Both
-    engines consume the identical stream, and placement retries advance
-    the seed so each attempt explores a different schedule.
+    draw per negotiation round — decides who reroutes first.  The
+    reference router consumes the identical stream, and placement
+    retries advance the seed so each attempt explores a different
+    schedule.
     """
     return rng.permutation(count)
 
@@ -227,16 +210,12 @@ class GlobalRouter:
     def __init__(self, floorplan: Floorplan,
                  resources: Optional[RoutingResources] = None,
                  gcell_rows: int = 2, max_iterations: int = 6,
-                 seed: int = 0, engine: str = VECTOR):  # noqa: D107
-        if engine not in ENGINES:
-            raise RoutingError(f"unknown routing engine {engine!r}; "
-                               f"expected one of {ENGINES}")
+                 seed: int = 0):  # noqa: D107
         self.floorplan = floorplan
         self.resources = resources or RoutingResources()
         self.gcell_rows = gcell_rows
         self.max_iterations = max_iterations
         self.seed = seed
-        self.engine = engine
 
     def route(self, net_points: Dict[str, List[Point]],
               cache: Optional[RouteCache] = None) -> RoutingResult:
@@ -253,19 +232,9 @@ class GlobalRouter:
         warm = cache.warm_routes(grid) if cache is not None else {}
         reuse_skipped = int(cache is not None and bool(cache.routes)
                             and not warm)
-        engine = self.engine
-        if engine == AUTO:
-            engine = (REFERENCE if len(net_points) < AUTO_NET_THRESHOLD
-                      else VECTOR)
-        if engine == REFERENCE:
-            from .reference import route_reference
-            result = route_reference(self, grid, net_points, warm)
-        else:
-            result = self._route_vector(grid, net_points, warm)
+        result = self._route_vector(grid, net_points, warm)
         result.stats.work("route.reuse_skipped", reuse_skipped)
         return result
-
-    # -- vectorized engine ----------------------------------------------
 
     def _route_vector(self, grid: RoutingGrid,
                       net_points: Dict[str, List[Point]],
@@ -378,8 +347,7 @@ class GlobalRouter:
         return RoutingResult(grid=grid, routes=routes, violations=violations,
                              overflowed_nets=overflowed_nets,
                              iterations=iterations,
-                             total_wirelength=total_wl,
-                             engine=VECTOR, stats=stats)
+                             total_wirelength=total_wl, stats=stats)
 
     @staticmethod
     def _best_l(grid: RoutingGrid, a: GCell, b: GCell) -> List[Edge]:

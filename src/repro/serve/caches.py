@@ -13,8 +13,8 @@ which is reusable *across* jobs, keyed so that reuse is always sound:
   :class:`~repro.network.dag.BaseNetwork` plus its source network;
   flow jobs never mutate either.
 * **Layouts** — the technology-independent placement and the
-  K-independent partition, keyed by (netlist, die, seed, engines,
-  partition style): exactly the products :func:`~repro.core.flow.k_sweep`
+  K-independent partition, keyed by (netlist, die, seed, partition
+  style): exactly the products :func:`~repro.core.flow.k_sweep`
   hoists out of its per-K loop, hoisted one level further — out of the
   per-job loop.
 * **Matchers** — one :class:`~repro.core.matching.Matcher` per
@@ -310,13 +310,12 @@ class SessionCaches:
         """(positions, partition) for a (netlist, die, config) triple.
 
         The placement is seeded exactly as the uninjected entry points
-        seed it (``config.seed`` / ``config.place_engine``), so cached
-        layouts are bit-identical to freshly computed ones.  On a
+        seed it (``config.seed``), so cached layouts are bit-identical
+        to freshly computed ones.  On a
         memory miss the disk tier is consulted before recomputing; a
         fresh computation is written through to it.
         """
-        lkey = (key, die_key(floorplan), config.seed, config.place_engine,
-                config.partition_style)
+        lkey = (key, die_key(floorplan), config.seed, config.partition_style)
         cached = self._get("layout", lkey)
         if cached is not None:
             return cached
@@ -326,8 +325,7 @@ class SessionCaches:
             positions, part = stored
         else:
             positions = place_base_network(base, floorplan,
-                                           seed=config.seed,
-                                           engine=config.place_engine)
+                                           seed=config.seed)
             part = make_partition(base, config.partition_style,
                                   positions=positions)
             if self.persist is not None:

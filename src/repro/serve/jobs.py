@@ -28,6 +28,7 @@ summary`) and the trace instead.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -108,6 +109,8 @@ def parse_job(data: Dict[str, Any], index: int = 0) -> Job:
                 from None
         if not k:
             raise JobError(f"job {index}: k must be non-empty when given")
+        if not all(math.isfinite(x) for x in k):
+            raise JobError(f"job {index}: k must be finite numbers")
     tolerance = data.get("tolerance", 0)
     if not isinstance(tolerance, int) or tolerance < 0:
         raise JobError(f"job {index}: tolerance must be a non-negative int")

@@ -50,15 +50,16 @@ def affinity_key(job: Job) -> AffinityKey:
     """The (netlist, die) scheduling key of a job.
 
     Uses the same content key as the session caches (two paths to the
-    same BLIF bytes belong to one chain).  An unreadable source falls
-    back to the raw source string: the job will fail identically
-    wherever it runs, and grouping such jobs together keeps their
-    error lines in submission order trivially.
+    same BLIF bytes belong to one chain).  A source with no content key
+    (an unreadable file, a malformed ``name@scale``) falls back to the
+    raw source string: the job will fail identically wherever it runs,
+    and grouping such jobs together keeps their error lines in
+    submission order trivially.
     """
     from .caches import source_key
     try:
         skey = source_key(job.source)
-    except OSError:
+    except (OSError, ValueError):
         skey = f"raw:{job.source}"
     return (skey, job.rows)
 

@@ -172,10 +172,10 @@ class TestCoverMemo:
     """Cross-K covering reuse: bracketed probes skip the DP without
     changing any result (the ISSUE 7 parametric memo)."""
 
-    def _map_at(self, base, positions, k, matcher=None, cover_memo=True):
+    def _map_at(self, base, positions, k, matcher=None):
         return map_network(base, CORELIB018, area_congestion(k),
                            partition_style="placement", positions=positions,
-                           matcher=matcher, cover_memo=cover_memo)
+                           matcher=matcher)
 
     def test_bracketed_probe_hits_and_matches(self, small_base):
         from repro.core import Matcher
@@ -189,8 +189,9 @@ class TestCoverMemo:
         probe = self._map_at(small_base, positions, mid, matcher=matcher)
         assert probe.stats["cover.memo_hits"] > 0
         # A memo hit must be invisible in the result: identical netlist
-        # to a cold mapping at the same K.
-        cold = self._map_at(small_base, positions, mid, cover_memo=False)
+        # to a cold mapping (fresh matcher, empty memo) at the same K.
+        cold = self._map_at(small_base, positions, mid,
+                            matcher=Matcher(small_base, CORELIB018))
         assert probe.netlist.cell_histogram() == \
             cold.netlist.cell_histogram()
         assert probe.stats["cell_area"] == cold.stats["cell_area"]

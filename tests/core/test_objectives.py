@@ -29,6 +29,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             area_congestion(-1.0)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_non_finite_k_rejected(self, k):
+        with pytest.raises(ValueError, match="finite"):
+            area_congestion(k)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             CoverObjective(mode="power")

@@ -1,12 +1,14 @@
-"""Vectorized placement/covering engines vs scalar reference oracles.
+"""Vectorized placement/covering/routing kernels vs their scalar twins.
 
-The batched kernels added for the flat-array placement stack — sparse
+The batched kernels of the flat-array placement stack — sparse
 quadratic assembly, level-synchronous spreading, fast legalization,
-cached-HPWL annealing — and the array covering DP must all be pure
-speedups: on any input they produce *bit-identical* results to the
-scalar reference implementations they replace.  These tests pin that
-contract at every level: kernel, placer, covering DP, and full flow
-(serial and process fan-out).
+cached-HPWL annealing — the array covering DP and the vectorized
+router must all be pure speedups: on any input they produce
+*bit-identical* results to the scalar ``_*_reference`` twins kept
+beside them as oracles.  These tests pin that contract at every level:
+kernel (calling each twin directly), placer and mapper, and the full
+flow (serial and process fan-out) with every kernel swapped for its
+twin.
 """
 
 import random
@@ -14,6 +16,11 @@ import random
 import numpy as np
 import pytest
 
+import repro.core.covering as covering
+import repro.place.annealing as annealing
+import repro.place.legalize as legalize
+import repro.place.quadratic as quadratic
+import repro.place.spreading as spreading
 from repro.circuits import spla_like
 from repro.core import (
     BoundaryInfo,
@@ -34,8 +41,26 @@ from repro.place import Floorplan
 from repro.place.annealing import anneal
 from repro.place.legalize import check_legal, legalize_rows
 from repro.place.placer import place_base_network, place_netlist
-from repro.place.quadratic import QpNet, solve_quadratic
+from repro.place.quadratic import QpNet
 from repro.place.spreading import spread
+from repro.route.reference import route_reference
+from repro.route.router import GlobalRouter
+
+#: (owner, vectorized kernel, scalar twin with the same signature).
+TWINS = [
+    (quadratic, "_assemble_vector", quadratic._assemble_reference),
+    (spreading, "_spread_vector", spreading._spread_reference),
+    (legalize, "_legalize_vector", legalize._legalize_reference),
+    (annealing, "_anneal_vector", annealing._anneal_reference),
+    (covering, "_cover_vector", covering._cover_reference),
+    (GlobalRouter, "_route_vector", route_reference),
+]
+
+
+def use_reference_kernels(monkeypatch):
+    """Swap every vectorized kernel for its scalar twin."""
+    for owner, name, twin in TWINS:
+        monkeypatch.setattr(owner, name, twin)
 
 FLOORPLANS = [
     Floorplan(width=104.0, row_height=5.2, num_rows=20),
@@ -60,6 +85,18 @@ def random_qp_nets(seed, count, num_movable, max_degree=10):
     return nets
 
 
+def assert_same_system(num_movable, nets):
+    """Both assemblies build the bit-identical system (so the solver,
+    which only sees the system, returns bit-identical positions)."""
+    ref = quadratic._assemble_reference(num_movable, nets)
+    vec = quadratic._assemble_vector(num_movable, nets)
+    for a, b in zip(ref[:3], vec[:3]):
+        assert np.array_equal(a, b)
+    ref_lap, vec_lap = ref[3], vec[3]
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ref_lap, attr), getattr(vec_lap, attr))
+
+
 def random_positions(seed, n, floorplan):
     rng = np.random.default_rng(seed)
     return np.column_stack([rng.uniform(0, floorplan.width, n),
@@ -73,9 +110,7 @@ class TestKernelEquivalence:
         num_movable = 40 + 30 * seed
         nets = random_qp_nets(seed, count=80 + 40 * seed,
                               num_movable=num_movable)
-        ref = solve_quadratic(num_movable, nets, engine="reference")
-        vec = solve_quadratic(num_movable, nets, engine="vector")
-        assert np.array_equal(ref, vec)
+        assert_same_system(num_movable, nets)
 
     def test_quadratic_star_only_and_clique_only(self):
         """Degenerate mixes: all-star and all-clique net sets."""
@@ -84,9 +119,7 @@ class TestKernelEquivalence:
         cliques = [QpNet(movables=[k, k + 1], fixed=[(1.0 * k, 2.0 * k)])
                    for k in range(30)]
         for nets in (stars, cliques, stars + cliques):
-            ref = solve_quadratic(36, nets, engine="reference")
-            vec = solve_quadratic(36, nets, engine="vector")
-            assert np.array_equal(ref, vec)
+            assert_same_system(36, nets)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("floorplan", FLOORPLANS,
@@ -96,9 +129,10 @@ class TestKernelEquivalence:
         pos = random_positions(seed, n, floorplan)
         weights = np.random.default_rng(seed + 99).uniform(0.5, 4.0, n)
         for w in (None, weights):
-            ref = spread(pos, floorplan, weights=w, engine="reference")
-            vec = spread(pos, floorplan, weights=w, engine="vector")
-            assert np.array_equal(ref, vec)
+            ref = pos.copy()
+            spreading._spread_reference(
+                ref, np.ones(n) if w is None else w, floorplan)
+            assert np.array_equal(ref, spread(pos, floorplan, weights=w))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("floorplan", FLOORPLANS,
@@ -109,8 +143,11 @@ class TestKernelEquivalence:
         n = min(40 + 60 * seed, int(capacity / 5.5))
         pos = random_positions(seed, n, floorplan)
         widths = rng.choice([2.4, 3.6, 4.8], n)
-        ref = legalize_rows(pos, widths, floorplan, engine="reference")
-        vec = legalize_rows(pos, widths, floorplan, engine="vector")
+        ref = np.zeros_like(pos)
+        legalize._legalize_reference(
+            pos, widths, floorplan, 6, np.zeros(floorplan.num_rows), ref,
+            np.argsort(pos[:, 0], kind="stable"))
+        vec = legalize_rows(pos, widths, floorplan)
         assert np.array_equal(ref, vec)
         check_legal(vec, widths, floorplan)
 
@@ -126,10 +163,9 @@ class TestKernelEquivalence:
         fixed = [[(float(rng.uniform(0, 104.0)), float(rng.uniform(0, 104.0)))
                   for _ in range(int(rng.integers(0, 3)))]
                  for _ in range(2 * n)]
-        ref = anneal(pos, nets, fixed, floorplan, moves=1500, seed=seed,
-                     engine="reference")
-        vec = anneal(pos, nets, fixed, floorplan, moves=1500, seed=seed,
-                     engine="vector")
+        ref = annealing._anneal_reference(pos, nets, fixed, moves=1500,
+                                          seed=seed, start_temp=None)
+        vec = anneal(pos, nets, fixed, floorplan, moves=1500, seed=seed)
         assert np.array_equal(ref, vec)
 
 
@@ -174,30 +210,31 @@ class TestCoveringEquivalence:
         objective = area_congestion(k) if k else min_area()
         boundary = BoundaryInfo(positions)
         for root in part.roots:
-            ref = cover_tree(base, part.trees[root], matcher, CORELIB018,
-                             objective, boundary, part.materialized,
-                             engine="reference")
-            vec = cover_tree(base, part.trees[root], matcher, CORELIB018,
-                             objective, boundary, part.materialized,
-                             engine="vector")
+            args = (base, part.trees[root], matcher, CORELIB018,
+                    objective, boundary, part.materialized)
+            ref = covering._cover_reference(*args)
+            vec = cover_tree(*args)
             assert set(ref.solutions) == set(vec.solutions)
             for key in ref.solutions:
                 assert solution_key(ref.solutions[key]) == \
                     solution_key(vec.solutions[key]), key
 
     @pytest.mark.parametrize("k", [0.0, 0.01])
-    def test_mapper_end_to_end(self, k):
-        """map_network with either engine emits the identical netlist."""
+    def test_mapper_end_to_end(self, k, monkeypatch):
+        """map_network over the covering twin emits the identical netlist."""
         base = decompose(spla_like(0.02))
         floorplan = Floorplan.from_rows(16)
         positions = place_base_network(base, floorplan)
-        results = {}
-        for engine in ("vector", "reference"):
-            r = map_network(base, CORELIB018, area_congestion(k),
-                            partition_style="placement",
-                            positions=positions, engine=engine)
-            results[engine] = r
-        vec, ref = results["vector"], results["reference"]
+
+        def run():
+            return map_network(base, CORELIB018, area_congestion(k),
+                               partition_style="placement",
+                               positions=positions)
+
+        vec = run()
+        monkeypatch.setattr(covering, "_cover_vector",
+                            covering._cover_reference)
+        ref = run()
         assert vec.netlist.num_cells() == ref.netlist.num_cells()
         assert sorted((i.cell_name, tuple(sorted(i.pins.items())), i.output)
                       for i in vec.netlist.instances.values()) == \
@@ -220,35 +257,34 @@ class TestPlacementEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("rows", [16, 18])
-    def test_place_netlist_bitwise(self, netlist, seed, rows):
+    def test_place_netlist_bitwise(self, netlist, seed, rows, monkeypatch):
         floorplan = Floorplan.from_rows(rows)
-        ref = place_netlist(netlist, CORELIB018, floorplan, seed=seed,
-                            engine="reference")
-        vec = place_netlist(netlist, CORELIB018, floorplan, seed=seed,
-                            engine="vector")
+        vec = place_netlist(netlist, CORELIB018, floorplan, seed=seed)
+        use_reference_kernels(monkeypatch)
+        ref = place_netlist(netlist, CORELIB018, floorplan, seed=seed)
         assert ref.positions == vec.positions
         assert ref.pads == vec.pads
 
-    def test_place_netlist_with_anneal(self, netlist):
+    def test_place_netlist_with_anneal(self, netlist, monkeypatch):
         floorplan = Floorplan.from_rows(16)
-        ref = place_netlist(netlist, CORELIB018, floorplan,
-                            anneal_moves=800, engine="reference")
-        vec = place_netlist(netlist, CORELIB018, floorplan,
-                            anneal_moves=800, engine="vector")
+        vec = place_netlist(netlist, CORELIB018, floorplan, anneal_moves=800)
+        use_reference_kernels(monkeypatch)
+        ref = place_netlist(netlist, CORELIB018, floorplan, anneal_moves=800)
         assert ref.positions == vec.positions
 
-    def test_place_base_network_bitwise(self):
+    def test_place_base_network_bitwise(self, monkeypatch):
         base = decompose(spla_like(0.02))
         floorplan = Floorplan.from_rows(16)
-        ref = place_base_network(base, floorplan, engine="reference")
-        vec = place_base_network(base, floorplan, engine="vector")
+        vec = place_base_network(base, floorplan)
+        use_reference_kernels(monkeypatch)
+        ref = place_base_network(base, floorplan)
         assert ref.as_points() == vec.as_points()
 
     def test_timings_recorded(self, netlist):
         floorplan = Floorplan.from_rows(16)
         timings = {}
         place_netlist(netlist, CORELIB018, floorplan, anneal_moves=100,
-                      engine="vector", timings=timings)
+                      timings=timings)
         assert timings.keys() >= {"t_quadratic", "t_mincut", "t_legalize",
                                   "t_anneal"}
         assert all(t >= 0.0 for t in timings.values())
@@ -257,22 +293,25 @@ class TestPlacementEquivalence:
 class TestFlowEquivalence:
     K_VALUES = [0.0, 0.001, 0.01]
 
-    def _sweep(self, place_engine, workers=1):
+    def _sweep(self, workers=1):
         base = decompose(spla_like(0.02))
         floorplan = Floorplan.from_rows(18)
-        config = FlowConfig(library=CORELIB018, place_engine=place_engine,
-                            workers=workers)
+        config = FlowConfig(library=CORELIB018, workers=workers)
         points = k_sweep(base, floorplan, config, k_values=self.K_VALUES)
         return [(p.row(), p.hpwl, p.routed_wirelength) for p in points]
 
-    def test_flow_engines_agree_serial(self):
-        assert self._sweep("vector") == self._sweep("reference")
+    def test_flow_engines_agree_serial(self, monkeypatch):
+        """Every kernel swapped for its twin: identical sweep rows."""
+        vec = self._sweep()
+        use_reference_kernels(monkeypatch)
+        assert self._sweep() == vec
 
     def test_flow_engines_agree_parallel(self):
-        """place_engine=vector, serial vs ``--workers 4`` fan-out."""
-        assert self._sweep("vector") == self._sweep("vector", workers=4)
+        """Serial vs ``--workers 4`` fan-out."""
+        assert self._sweep() == self._sweep(workers=4)
 
-    def test_flow_reference_parallel(self):
-        """place_engine=reference survives the process pool too."""
-        assert self._sweep("reference") == \
-            self._sweep("reference", workers=4)
+    def test_flow_reference_parallel(self, monkeypatch):
+        """The twins survive the (forked) process pool too."""
+        vec = self._sweep()
+        use_reference_kernels(monkeypatch)
+        assert self._sweep(workers=4) == vec

@@ -1,9 +1,10 @@
-"""Vectorized engine vs per-edge reference engine equivalence.
+"""Vectorized router vs its per-edge reference twin.
 
 The vectorized router must be a pure speedup: on any net set it has to
-report the same violations, overflowed-net count and wirelength as the
-per-edge reference implementation of the identical algorithm — uncongested
-and congested designs alike.
+report the same routes, violations, overflowed-net count and wirelength
+as :func:`repro.route.reference.route_reference`, the per-edge
+rendition of the identical algorithm — small and large, uncongested and
+congested designs alike.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.route import (
     RoutingResources,
     victim_order,
 )
+from repro.route.reference import route_reference
 from repro.route.steiner import gcell_signature
 
 FLOORPLAN = Floorplan(width=104.0, row_height=5.2, num_rows=20)
@@ -36,24 +38,35 @@ def random_nets(seed, count, max_pins=5):
     return nets
 
 
-def routers(resources, seed=0, max_iterations=6):
-    vec = GlobalRouter(FLOORPLAN, resources, max_iterations=max_iterations,
-                       seed=seed, engine="vector")
-    ref = GlobalRouter(FLOORPLAN, resources, max_iterations=max_iterations,
-                       seed=seed, engine="reference")
-    return vec, ref
+def reference_route(router, nets, cache=None):
+    """``router``'s routing of ``nets`` through the per-edge twin."""
+    grid = RoutingGrid(router.floorplan, router.resources,
+                       router.gcell_rows)
+    warm = cache.warm_routes(grid) if cache is not None else {}
+    return route_reference(router, grid, nets, warm)
+
+
+def route_both(nets, resources, seed=0, max_iterations=6):
+    """(vectorized, reference) results of one router on ``nets``."""
+    router = GlobalRouter(FLOORPLAN, resources,
+                          max_iterations=max_iterations, seed=seed)
+    return router.route(nets), reference_route(router, nets)
+
+
+#: (seed, net count): the growing sets plus two below 64 nets.
+NET_SETS = [pytest.param(seed, 60 + 20 * seed, id=str(seed))
+            for seed in range(5)] + [
+    pytest.param(5, 8, id="8nets"), pytest.param(6, 20, id="20nets")]
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed,count", NET_SETS)
     @pytest.mark.parametrize("resources", [AMPLE, STARVED],
                              ids=["ample", "starved"])
-    def test_random_net_sets_agree(self, seed, resources):
-        """Property: both engines agree on every routing verdict."""
-        nets = random_nets(seed, count=60 + 20 * seed)
-        vec, ref = routers(resources, seed=seed)
-        a = vec.route(nets)
-        b = ref.route(nets)
+    def test_random_net_sets_agree(self, seed, count, resources):
+        """Property: both renditions agree on every routing verdict."""
+        nets = random_nets(seed, count=count)
+        a, b = route_both(nets, resources, seed=seed)
         assert a.violations == b.violations
         assert a.overflowed_nets == b.overflowed_nets
         assert a.iterations == b.iterations
@@ -69,32 +82,19 @@ class TestEngineEquivalence:
             "straight": [(5.0, 50.0), (100.0, 50.0)],
             "fanout": [(5.0, 5.0), (90.0, 10.0), (50.0, 95.0), (10.0, 60.0)],
         }
-        vec, ref = routers(AMPLE)
-        a, b = vec.route(nets), ref.route(nets)
+        a, b = route_both(nets, AMPLE)
         assert a.violations == b.violations == 0
         assert a.total_wirelength == b.total_wirelength
         assert a.routes["same_gcell"].edges == []
         assert a.routes["single_pin"].edges == []
 
     def test_demand_books_match_routes(self):
-        """Both engines keep demand == committed edges (incremental
+        """Both renditions keep demand == committed edges (incremental
         rip-up must never leak or double-count demand)."""
         nets = random_nets(3, count=120)
-        for router in routers(STARVED, seed=3):
-            result = router.route(nets)
+        for result in route_both(nets, STARVED, seed=3):
             total_edges = sum(len(r.edges) for r in result.routes.values())
             assert total_edges == int(result.grid.demand_flat.sum())
-
-    def test_engine_name_recorded(self):
-        nets = random_nets(0, count=10)
-        vec, ref = routers(AMPLE)
-        assert vec.route(nets).engine == "vector"
-        assert ref.route(nets).engine == "reference"
-
-    def test_unknown_engine_rejected(self):
-        from repro.errors import RoutingError
-        with pytest.raises(RoutingError):
-            GlobalRouter(FLOORPLAN, engine="quantum")
 
 
 class TestRouterStats:
@@ -148,8 +148,7 @@ class TestVictimOrdering:
     def test_engines_share_seeded_order(self):
         nets = random_nets(5, count=90)
         for seed in (0, 9):
-            vec, ref = routers(STARVED, seed=seed)
-            a, b = vec.route(nets), ref.route(nets)
+            a, b = route_both(nets, STARVED, seed=seed)
             assert a.violations == b.violations
             assert a.total_wirelength == b.total_wirelength
 
@@ -191,9 +190,9 @@ class TestRouteCache:
     def test_reference_engine_reuses_too(self):
         nets = random_nets(9, count=30)
         cache = RouteCache()
-        vec, ref = routers(AMPLE)
-        cache.store(vec.route(nets, cache=cache))
-        result = ref.route(nets, cache=cache)
+        router = GlobalRouter(FLOORPLAN, AMPLE, max_iterations=6)
+        cache.store(router.route(nets, cache=cache))
+        result = reference_route(router, nets, cache=cache)
         assert result.stats["routes_reused"] == len(nets)
         assert result.violations == 0
 
@@ -297,28 +296,3 @@ class TestRouteCache:
                       for pins in kept.values()}
         assert set(cache.routes) == signatures
 
-
-class TestAutoEngine:
-    """--route-engine auto: pick by design size, identical results."""
-
-    def test_auto_matches_both_engines(self):
-        for count in (20, 100):            # straddles AUTO_NET_THRESHOLD
-            nets = random_nets(13, count=count)
-            auto = GlobalRouter(FLOORPLAN, AMPLE, max_iterations=6,
-                                engine="auto")
-            vec, ref = routers(AMPLE)
-            a, v, r = auto.route(nets), vec.route(nets), ref.route(nets)
-            for other in (v, r):
-                assert a.violations == other.violations
-                assert a.total_wirelength == other.total_wirelength
-                assert a.iterations == other.iterations
-
-    def test_auto_is_the_default_flow_engine(self):
-        from repro.core.flow import FlowConfig
-        from repro.library import CORELIB018
-        assert FlowConfig(library=CORELIB018).route_engine == "auto"
-
-    def test_unknown_engine_rejected(self):
-        from repro.errors import RoutingError
-        with pytest.raises(RoutingError):
-            GlobalRouter(FLOORPLAN, engine="turbo")

@@ -25,13 +25,9 @@ class TestParserInheritance:
     def test_shared_flags_accepted(self, command, extra):
         args = build_parser().parse_args(
             [command] + extra + ["--rows", "9", "--workers", "3",
-                                 "--route-engine", "vector",
-                                 "--place-engine", "reference",
                                  "--no-route-reuse"])
         assert args.rows == 9
         assert args.workers == 3
-        assert args.route_engine == "vector"
-        assert args.place_engine == "reference"
         assert args.no_route_reuse is True
 
     def test_serve_defaults(self):

@@ -86,6 +86,14 @@ class TestParseJobs:
                            "", '{"cmd": "flow", "source": "t"}'])
         assert [j.id for j in jobs] == ["job1", "job2"]
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_k_rejected(self, token):
+        """Python's json accepts these tokens; a job must not, or its
+        result line would carry a token that is not valid JSON."""
+        with pytest.raises(JobError, match="finite"):
+            parse_jobs(['{"cmd": "ksweep", "source": "s", '
+                        f'"k": [0.0, {token}]}}'])
+
 
 class TestJobResult:
     def test_json_line_is_sorted_and_stable(self):

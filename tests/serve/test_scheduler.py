@@ -59,6 +59,10 @@ class TestAffinityPlanning:
         key = affinity_key(job)
         assert key == ("raw:/no/such/file.blif", 4)
 
+    def test_malformed_scale_gets_a_fallback_key(self):
+        job = Job(id="x", cmd="flow", source="spla@abc", rows=12)
+        assert affinity_key(job) == ("raw:spla@abc", 12)
+
     def test_plan_chains_orders_and_groups(self):
         chains = plan_chains(MIXED)
         assert chains == [[0, 2], [1, 4], [3]]
@@ -116,6 +120,20 @@ class TestParallelByteIdentity:
         assert len(summary["per_job"]) == len(MIXED)
         assert {e["id"] for e in summary["per_job"]} == \
             {j.id for j in MIXED}
+
+    def test_malformed_source_streams_an_error_line(self):
+        """A bad ``name@scale`` fails its own job, not the planner."""
+        jobs = [Job(id="m0", cmd="ksweep", source="spla@0.01", rows=12,
+                    k=(0.0,)),
+                Job(id="m1", cmd="ksweep", source="spla@abc", rows=12,
+                    k=(0.0,)),
+                Job(id="m2", cmd="ksweep", source="spla@0.01", rows=13,
+                    k=(0.0,))]
+        seq = ServeEngine(_config()).run(jobs)
+        par = ServeEngine(_config(), serve_workers=2).run(jobs)
+        assert _lines(par) == _lines(seq)
+        assert [r.ok for r in seq] == [True, False, True]
+        assert seq[1].error.startswith("ValueError")
 
     def test_single_chain_stream_still_works(self):
         jobs = [Job(id="x0", cmd="ksweep", source="spla@0.01", rows=12,

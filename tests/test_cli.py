@@ -57,6 +57,13 @@ class TestCommands:
                      "--partition", "placement"]) == 0
         assert "module" in open(out_path).read()
 
+    @pytest.mark.parametrize("k", ["nan", "inf", "-1"])
+    def test_map_rejects_bad_k(self, blif_file, k):
+        """Only K = 0 maps min-area; any other K reaches the objective,
+        which rejects non-finite and negative values."""
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            main(["map", blif_file, "--k", k])
+
     def test_ksweep_prints_table(self, capsys):
         assert main(["ksweep", "spla@0.02", "--k", "0.0,0.01",
                      "--rows", "16"]) == 0
