@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import bisect as _bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Generator, List, Optional, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -113,6 +114,32 @@ class BoundaryInfo:
         return vertex in self.complemented
 
 
+def run_on_stack(walk: Generator[Any, Any, Any]) -> Any:
+    """Run a recursive walk, written as generators, on an explicit stack.
+
+    Where a recursive function would call itself, a walk step yields
+    the sub-walk's generator instead and is sent the sub-walk's return
+    value.  Steps run in exactly the order the recursion would run
+    them, but the depth is bounded by memory rather than by the
+    interpreter's recursion limit — which matters for walks over a
+    cover's solutions: a single-fanout chain is one subject tree, so
+    its covers have no depth bound.
+    """
+    stack = [walk]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+
+
 def _assignment_fingerprint(cover: TreeCover,
                             is_shared: Callable[[int], bool]) -> Tuple:
     """Canonical description of the realized assignment of a cover.
@@ -126,27 +153,38 @@ def _assignment_fingerprint(cover: TreeCover,
     covers with equal fingerprints under equal signatures realise
     identically.
     """
-    memo: Dict[Tuple[int, bool], Tuple] = {}
+    root = cover.solutions[(cover.tree.root, POS)]
+    return run_on_stack(_solution_fingerprint(root, cover, is_shared, {}))
 
-    def ref_fp(vertex: int, phase: bool) -> Tuple:
-        if is_shared(vertex):
-            return ("s", vertex, phase)
-        got = memo.get((vertex, phase))
-        if got is None:
-            got = sol_fp(cover.solutions[(vertex, phase)])
-            memo[(vertex, phase)] = got
-        return got
 
-    def sol_fp(sol: Solution) -> Tuple:
-        if sol.match is None:
-            if sol.inv_source is None:
-                raise MappingError("conversion solution without a source")
-            return ("i", sol_fp(sol.inv_source))
-        m = sol.match
-        return ("m", m.cell.name, m.phase,
-                tuple((pin, ref_fp(u, ph)) for pin, (u, ph) in m.leaves))
+def _solution_fingerprint(sol: Solution, cover: TreeCover,
+                          is_shared: Callable[[int], bool],
+                          memo: Dict[Tuple[int, bool], Tuple]
+                          ) -> Generator[Any, Tuple, Tuple]:
+    """Walk step of :func:`_assignment_fingerprint` for one solution.
 
-    return ref_fp(cover.tree.root, POS)
+    Module-level, not a closure: a self-referencing closure would make
+    every fingerprint a reference cycle holding the tree's probe, and
+    with it the whole matcher, until the next full garbage collection.
+    """
+    if sol.match is None:
+        if sol.inv_source is None:
+            raise MappingError("conversion solution without a source")
+        return ("i", (yield _solution_fingerprint(sol.inv_source, cover,
+                                                  is_shared, memo)))
+    m = sol.match
+    pins = []
+    for pin, (u, ph) in m.leaves:
+        if is_shared(u):
+            ref = ("s", u, ph)
+        else:
+            ref = memo.get((u, ph))
+            if ref is None:
+                ref = yield _solution_fingerprint(cover.solutions[(u, ph)],
+                                                  cover, is_shared, memo)
+                memo[(u, ph)] = ref
+        pins.append((pin, ref))
+    return ("m", m.cell.name, m.phase, tuple(pins))
 
 
 class CoverMemo:
@@ -178,11 +216,12 @@ class CoverMemo:
 
     One memo hangs off each :class:`Matcher` (created by the mapper,
     like the matcher's vertex tables).  The memo itself never queries
-    the matcher — shared-leaf reference sets are *peeked* from the
-    matcher's match memo at store time, right after a DP ran — and the
-    mapper credits each hit with the ``len(tree.members)`` match
-    queries the skipped DP would have issued, which keeps
-    ``map.match_queries`` independent of the execution plan.
+    the matcher — shared-leaf reference sets are read from the vertex
+    tables of *peeked* match lists at store time, right after a DP
+    ran — and the mapper credits each hit with the
+    ``len(tree.members)`` match queries the skipped DP would have
+    issued, which keeps ``map.match_queries`` independent of the
+    execution plan.
     """
 
     def __init__(self) -> None:  # noqa: D107
@@ -304,26 +343,29 @@ class _MemoProbe:
     def _derive_refs(self) -> Optional[Tuple[List[int], Tuple]]:
         """Shared-leaf references of *any* candidate match of the tree.
 
-        Peeked from the matcher's match memo (populated by the DP that
-        just ran) — peeking instead of querying keeps the matcher's
-        hit/miss counters, and with them ``map.match_queries``,
-        untouched.  Losing candidates matter too: a boundary change at
-        a leaf only a losing match references can flip the argmin, so
-        the signature must cover every reference.
+        Read from the members' vertex tables, whose sorted leaf codes
+        ``2 * u + phase`` list every reference of their match lists.
+        The match lists are peeked from the matcher's memo (populated
+        by the DP that just ran, which also built the tables) —
+        peeking instead of querying keeps the matcher's hit/miss
+        counters, and with them ``map.match_queries``, untouched.
+        Losing candidates matter too: a boundary change at a leaf only
+        a losing match references can flip the argmin, so the
+        signature must cover every reference.
         """
         frozen = self.key[1]
         members_sorted = sorted(frozen)
-        shared = set()
+        codes = []
         for v in members_sorted:
             matches = self.matcher.peek(v, frozen)
             if matches is None:  # pragma: no cover - defensive
                 return None
-            for phase in (POS, NEG):
-                for m in matches[phase]:
-                    for _, (u, ph) in m.leaves:
-                        if self._is_shared(u):
-                            shared.add((u, ph))
-        return (members_sorted, tuple(sorted(shared)))
+            codes.append(_vertex_table(self.matcher, v, frozen,
+                                       matches).codes)
+        shared = [(code >> 1, bool(code & 1))
+                  for code in np.unique(np.concatenate(codes)).tolist()
+                  if self._is_shared(code >> 1)]
+        return (members_sorted, tuple(shared))
 
 
 def cover_tree(network: BaseNetwork, tree: Tree, matcher: Matcher,
@@ -451,21 +493,45 @@ def _apply_conversions(cand: Dict[bool, Optional[Solution]], inv,
             cand[phase] = converted
 
 
+#: Widest zero-padded consumed-set row whose sum reproduces the
+#: reference's ``mean`` bit for bit.  numpy adds fewer than 8 values in
+#: sequence, so trailing zero pads change nothing; from 8 values on it
+#: adds them pairwise in 8 interleaved lanes, where pads would change
+#: which values meet.  Wider consumed sets are averaged at their exact
+#: width instead.
+_PAD_SUM_MAX = 7
+
+
 class _VertexTable:
-    """Flattened match descriptors for one (vertex, tree) DP step.
+    """Padded match descriptors for one (vertex, tree) DP step.
 
     Both phases' candidate lists are concatenated (POS first) so a
     single batched evaluation scores every match at the vertex; the
     per-phase winner is the first-occurrence argmin over each slice,
     which reproduces the reference scan's strict-``<`` selection.
+    Per-match lists are padded to the widest match, so one DP step is
+    one fixed set of whole-table array operations:
+
+    * ``leaf_code`` ``(m, kmax)``: leaf refs ``(u, phase)`` as
+      ``2 * u + phase`` in pin order; pads are ``-1``, the DP's
+      neutral leaf row, and ``leaf_real`` is False there;
+    * ``consumed`` ``(m, min(cmax, _PAD_SUM_MAX))``: the consumed set in
+      ``list(frozenset)`` order (the reference centroid's order);
+      pads are ``-1``, a zero position, and ``consumed_n`` holds the
+      set sizes;
+    * ``wide``: the rows whose consumed set is wider than
+      ``_PAD_SUM_MAX``, as ``(rows, ids)`` groups of one size each;
+    * ``codes``: the sorted unique leaf codes.
+
     Tables depend only on the match lists (never on the objective or
     the positions), so they are cached on the matcher under the same
     cone key as the match lists (one table per shared list) and
     amortize across K points and overlapping trees.
     """
 
-    __slots__ = ("matches", "pos_count", "m", "cell_area", "leaf_groups",
-                 "cons_groups", "leaf_u", "leaf_p", "_delay_cache")
+    __slots__ = ("matches", "pos_count", "m", "cell_area", "leaf_code",
+                 "leaf_real", "consumed", "consumed_n", "wide", "codes",
+                 "_delay_cache")
 
     def __init__(self, matches_by_phase: Dict[bool, List[Match]]):  # noqa: D107
         matches = list(matches_by_phase[POS]) + list(matches_by_phase[NEG])
@@ -473,36 +539,22 @@ class _VertexTable:
         self.pos_count = len(matches_by_phase[POS])
         self.m = len(matches)
         self._delay_cache: Dict[float, np.ndarray] = {}
-        if not self.m:
-            return
         self.cell_area = np.array([mt.cell.area for mt in matches],
                                   dtype=float)
-        by_leaves: Dict[int, List[int]] = {}
-        by_consumed: Dict[int, List[int]] = {}
-        for i, mt in enumerate(matches):
-            by_leaves.setdefault(len(mt.leaves), []).append(i)
-            by_consumed.setdefault(len(mt.consumed), []).append(i)
-        self.leaf_groups = []
-        codes = []  # leaf refs (u, p) as u * 2 + p
-        for k, idxs in sorted(by_leaves.items()):
-            idx = np.array(idxs, dtype=np.intp)
-            lu = np.array([[u for _, (u, _) in matches[i].leaves]
-                           for i in idxs], dtype=np.intp).reshape(len(idxs), k)
-            lp = np.array([[int(ph) for _, (_, ph) in matches[i].leaves]
-                           for i in idxs], dtype=np.intp).reshape(len(idxs), k)
-            self.leaf_groups.append((k, idx, lu, lp))
-            codes.append((2 * lu + lp).ravel())
-        self.cons_groups = []
-        for s, idxs in sorted(by_consumed.items()):
-            idx = np.array(idxs, dtype=np.intp)
-            # ``list(frozenset)`` order is what the reference centroid
-            # iterates; capture it verbatim so row sums agree bitwise.
-            cids = np.array([list(matches[i].consumed) for i in idxs],
-                            dtype=np.intp)
-            self.cons_groups.append((idx, cids))
-        ordered = np.unique(np.concatenate(codes))
-        self.leaf_u = ordered // 2
-        self.leaf_p = ordered % 2
+        codes = [2 * u + ph for mt in matches for _, (u, ph) in mt.leaves]
+        self.leaf_code = _padded(codes, [len(mt.leaves) for mt in matches])
+        self.leaf_real = self.leaf_code >= 0
+        self.codes = np.array(sorted(set(codes)), dtype=np.intp)
+        # ``list(frozenset)`` order is what the reference centroid
+        # iterates; capture it verbatim so row sums agree bitwise.
+        sizes = [len(mt.consumed) for mt in matches]
+        consumed = _padded([u for mt in matches for u in mt.consumed], sizes)
+        self.consumed = np.ascontiguousarray(consumed[:, :_PAD_SUM_MAX])
+        self.consumed_n = np.array(sizes, dtype=float)
+        self.wide = []
+        for size in sorted({n for n in sizes if n > _PAD_SUM_MAX}):
+            rows = np.flatnonzero(self.consumed_n == size)
+            self.wide.append((rows, consumed[rows, :size]))
 
     def delays(self, load: float) -> np.ndarray:
         """Per-match cell delay under the objective's load estimate."""
@@ -512,6 +564,14 @@ class _VertexTable:
                          dtype=float)
             self._delay_cache[load] = d
         return d
+
+
+def _padded(flat: List[int], sizes: List[int]) -> np.ndarray:
+    """Consecutive runs of ``flat`` as rows of a ``-1``-padded matrix."""
+    lengths = np.array(sizes, dtype=np.intp)
+    out = np.full((len(sizes), max(sizes, default=0)), -1, dtype=np.intp)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = flat
+    return out
 
 
 def _vertex_table(matcher: Matcher, vertex: int, frozen,
@@ -532,14 +592,14 @@ def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
                   library: CellLibrary, objective: CoverObjective,
                   boundary: BoundaryInfo,
                   materialized: Set[int]) -> TreeCover:
-    """Array DP over the tree: per-vertex batched match evaluation.
+    """Array DP over the tree: one padded batch per vertex.
 
-    Evaluates every candidate match at a vertex in one batch of numpy
-    ops — leaf gathers grouped by leaf count, centroids grouped by
-    consumed-set size — instead of one `_evaluate` call per match.  All
-    floating-point summation orders reproduce the reference engine's
-    exactly (sequential leaf sums, ``mean`` over the consumed set in
-    set-iteration order), so the result is bit-identical.
+    Evaluates every candidate match at a vertex with one fixed set of
+    numpy ops over the vertex's :class:`_VertexTable`, instead of one
+    `_evaluate` call per match.  All floating-point summation orders
+    reproduce the reference engine's exactly (left-to-right leaf sums,
+    ``mean`` over the consumed set in set-iteration order), and every
+    pad is neutral, so the result is bit-identical.
     """
     members = tree.members
     root = tree.root
@@ -551,40 +611,37 @@ def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
     load = objective.load_estimate
     inv_delay = inv.delay(load)
 
-    # Leaf value tables, one row per network vertex, one column per
-    # phase (NEG=0, POS=1): area, wire, transitive wire, arrival, com.
-    L_area = np.empty((nv, 2))
-    L_wire = np.empty((nv, 2))
-    L_wiret = np.empty((nv, 2))
-    L_arr = np.empty((nv, 2))
-    L_cx = np.empty((nv, 2))
-    L_cy = np.empty((nv, 2))
-    L_ok = np.zeros((nv, 2), dtype=bool)
+    # Positions plus a trailing zero, the consumed-set pad.
+    XY = np.zeros((2, nv + 1))
+    XY[0, :nv] = X
+    XY[1, :nv] = Y
+    # Leaf values, one row per leaf code 2·u + phase (NEG=0, POS=1)
+    # with columns area, wire, transitive wire, arrival, com x, com y;
+    # the last row is the leaf pad: zero sums, an arrival below any
+    # real one (every match has a leaf) and a com the DP masks out.
+    L = np.empty((2 * nv + 1, 6))
+    L[-1] = (0.0, 0.0, 0.0, -np.inf, 0.0, 0.0)
+    ok = np.zeros(2 * nv + 1, dtype=bool)
+    ok[-1] = True
 
     def is_shared(v: int) -> bool:
         return v not in members or (v in materialized and v != root)
 
-    def fill_shared(u: int, phase: bool) -> None:
+    def fill_shared(code: int) -> None:
         """Boundary values for a leaf reference to a materialized net."""
+        u, phase = code >> 1, bool(code & 1)
         if not is_shared(u):
             raise MappingError(
                 f"no solution for internal vertex {u} phase {phase}")
         pos = boundary.position(u)
         arrival = boundary.arrival(u)
-        wire_t = boundary.wire(u)
-        p = int(phase)
         if phase == POS:
-            L_area[u, p] = 0.0
-            L_arr[u, p] = arrival
+            area = 0.0
         else:
-            L_area[u, p] = (0.0 if boundary.has_complement(u)
-                            else inv.area)
-            L_arr[u, p] = arrival + inv_delay
-        L_wire[u, p] = 0.0
-        L_wiret[u, p] = wire_t
-        L_cx[u, p] = pos[0]
-        L_cy[u, p] = pos[1]
-        L_ok[u, p] = True
+            area = 0.0 if boundary.has_complement(u) else inv.area
+            arrival = arrival + inv_delay
+        L[code] = (area, 0.0, boundary.wire(u), arrival, pos[0], pos[1])
+        ok[code] = True
 
     solutions: Dict[Tuple[int, bool], Solution] = {}
     frozen = tree.frozen_members()
@@ -593,79 +650,52 @@ def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
         table = _vertex_table(matcher, v, frozen, matches)
         cand: Dict[bool, Optional[Solution]] = {POS: None, NEG: None}
         if table.m:
-            missing = ~L_ok[table.leaf_u, table.leaf_p]
+            codes = table.codes
+            missing = ~ok[codes]
             if missing.any():
-                for u, p in zip(table.leaf_u[missing].tolist(),
-                                table.leaf_p[missing].tolist()):
-                    fill_shared(u, bool(p))
-            m = table.m
-            area = np.empty(m)
-            wire1 = np.empty(m)
-            wire = np.empty(m)
-            wire_t = np.empty(m)
-            arr = np.empty(m)
-            comx = np.empty(m)
-            comy = np.empty(m)
-            for idx, cids in table.cons_groups:
-                comx[idx] = X[cids].mean(axis=1)
-                comy[idx] = Y[cids].mean(axis=1)
-            delays = table.delays(load)
-            for k, idx, lu, lp in table.leaf_groups:
-                if k == 0:
-                    area[idx] = table.cell_area[idx]
-                    wire1[idx] = 0.0
-                    wire[idx] = 0.0
-                    wire_t[idx] = 0.0
-                    arr[idx] = delays[idx]
-                    continue
-                la = L_area[lu, lp]
-                lw = L_wire[lu, lp]
-                lt = L_wiret[lu, lp]
-                lr = L_arr[lu, lp]
-                lx = L_cx[lu, lp]
-                ly = L_cy[lu, lp]
-                cx = comx[idx]
-                cy = comy[idx]
-                if euclid:
-                    w1 = np.hypot(cx - lx[:, 0], cy - ly[:, 0])
-                else:
-                    w1 = np.abs(cx - lx[:, 0]) + np.abs(cy - ly[:, 0])
-                asum = la[:, 0]
-                w2 = lw[:, 0]
-                t2 = lt[:, 0]
-                amax = lr[:, 0]
-                for j in range(1, k):
-                    if euclid:
-                        d = np.hypot(cx - lx[:, j], cy - ly[:, j])
-                    else:
-                        d = np.abs(cx - lx[:, j]) + np.abs(cy - ly[:, j])
-                    w1 = w1 + d
-                    asum = asum + la[:, j]
-                    w2 = w2 + lw[:, j]
-                    t2 = t2 + lt[:, j]
-                    amax = np.maximum(amax, lr[:, j])
-                area[idx] = table.cell_area[idx] + asum
-                wire1[idx] = w1
-                wire[idx] = w1 + w2
-                wire_t[idx] = w1 + t2
-                arr[idx] = amax + delays[idx]
-            wire_scored = wire_t if objective.transitive_wire else wire
-            cost = objective.cost(area, wire_scored, arr)
+                for code in codes[missing].tolist():
+                    fill_shared(code)
+            leaf = L.take(table.leaf_code, axis=0)     # (m, kmax, 6)
+            com = (XY.take(table.consumed, axis=1).sum(axis=2)
+                   / table.consumed_n)
+            for rows, ids in table.wide:
+                com[0, rows] = X[ids].mean(axis=1)
+                com[1, rows] = Y[ids].mean(axis=1)
+            delta = com.T[:, None, :] - leaf[:, :, 4:]
+            if euclid:
+                dist = np.hypot(delta[:, :, 0], delta[:, :, 1])
+            else:
+                np.abs(delta, out=delta)
+                dist = delta[:, :, 0] + delta[:, :, 1]
+            dist *= table.leaf_real
+            amax = leaf[:, :, 3].max(axis=1)
+            # Sum leaf area, wire, transitive wire and distance (in the
+            # arrival column, now spent) column by column, left to
+            # right, as the reference's ``sum`` does.
+            leaf[:, :, 3] = dist
+            sums = leaf[:, 0, :4]
+            for j in range(1, leaf.shape[1]):
+                sums = sums + leaf[:, j, :4]
+            area = table.cell_area + sums[:, 0]
+            wire2 = sums[:, 2] if objective.transitive_wire else sums[:, 1]
+            arr = amax + table.delays(load)
+            cost = objective.cost(area, sums[:, 3] + wire2, arr)
 
             def winner(i: int) -> Solution:
+                _, wire2, wire2_t, wire1 = sums[i].tolist()
                 return Solution(
-                    cost=float(cost[i]), area=float(area[i]),
-                    wire1=float(wire1[i]), wire=float(wire[i]),
-                    wire_transitive=float(wire_t[i]),
-                    arrival=float(arr[i]),
-                    com=(float(comx[i]), float(comy[i])),
+                    cost=cost.item(i), area=area.item(i),
+                    wire1=wire1, wire=wire1 + wire2,
+                    wire_transitive=wire1 + wire2_t,
+                    arrival=arr.item(i),
+                    com=(com.item(0, i), com.item(1, i)),
                     match=table.matches[i])
 
-            if table.pos_count:
-                cand[POS] = winner(int(np.argmin(cost[:table.pos_count])))
-            if table.m > table.pos_count:
-                cand[NEG] = winner(table.pos_count
-                                   + int(np.argmin(cost[table.pos_count:])))
+            pc = table.pos_count
+            if pc:
+                cand[POS] = winner(int(cost[:pc].argmin()))
+            if table.m > pc:
+                cand[NEG] = winner(pc + int(cost[pc:].argmin()))
         _apply_conversions(cand, inv, objective)
         for phase in (POS, NEG):
             sol = cand[phase]
@@ -673,14 +703,10 @@ def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
                 continue
             solutions[(v, phase)] = sol
             if not is_shared(v):
-                p = int(phase)
-                L_area[v, p] = sol.area
-                L_wire[v, p] = sol.wire
-                L_wiret[v, p] = sol.wire_transitive
-                L_arr[v, p] = sol.arrival
-                L_cx[v, p] = sol.com[0]
-                L_cy[v, p] = sol.com[1]
-                L_ok[v, p] = True
+                code = 2 * v + phase
+                L[code] = (sol.area, sol.wire, sol.wire_transitive,
+                           sol.arrival, sol.com[0], sol.com[1])
+                ok[code] = True
     if (root, POS) not in solutions:
         raise MappingError(f"tree rooted at {root} has no positive cover")
     return TreeCover(tree, solutions)

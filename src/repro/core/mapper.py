@@ -18,14 +18,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import MappingError
 from ..library.cell import CellLibrary
 from ..obs import StatsRegistry
 from ..network.dag import BaseNetwork
 from ..network.netlist import MappedNetlist
-from .covering import BoundaryInfo, CoverMemo, TreeCover, cover_tree
+from .covering import (
+    BoundaryInfo,
+    CoverMemo,
+    TreeCover,
+    cover_tree,
+    run_on_stack,
+)
 from .matching import Matcher, POS
 from .objectives import CoverObjective, min_area
 from .partition import (
@@ -231,7 +237,8 @@ class _NetlistBuilder:
         root_net = self._root_net_name(root)
         self._realized: Dict[Tuple[int, bool], str] = {}
         self._realized_sol: Dict[int, str] = {}
-        net = self._realize(cover, root, POS, want_net=root_net)
+        net = run_on_stack(self._realize(cover, root, POS,
+                                         want_net=root_net))
         if net != root_net:  # pragma: no cover - defensive
             raise MappingError(f"root net mismatch at vertex {root}")
         self.net_of_vertex[root] = root_net
@@ -242,8 +249,13 @@ class _NetlistBuilder:
         # The root's committed location is its top match's center of mass.
         self.positions.set(root, sol.com)
 
+    # The three realisation steps below are walk steps for
+    # :func:`~repro.core.covering.run_on_stack` (a subject tree has no
+    # depth bound): each yields where it needs a sub-step's net.
+
     def _realize(self, cover: TreeCover, vertex: int, phase: bool,
-                 want_net: Optional[str] = None) -> str:
+                 want_net: Optional[str] = None
+                 ) -> Generator[Any, str, str]:
         key = (vertex, phase)
         if key in self._realized:
             net = self._realized[key]
@@ -253,7 +265,8 @@ class _NetlistBuilder:
             # the requested one instead of emitting a duplicate driver.
             self._rename_net(net, want_net)
             return want_net
-        net = self._realize_solution(cover, cover.solutions[key], want_net)
+        net = yield self._realize_solution(cover, cover.solutions[key],
+                                           want_net)
         self._realized[key] = net
         return net
 
@@ -268,7 +281,8 @@ class _NetlistBuilder:
                     table[key] = new
 
     def _realize_solution(self, cover: TreeCover, sol,
-                          want_net: Optional[str] = None) -> str:
+                          want_net: Optional[str] = None
+                          ) -> Generator[Any, str, str]:
         """Realise one Solution object as instances; memoised by identity.
 
         Conversions embed their source Solution, so realisation never
@@ -280,7 +294,7 @@ class _NetlistBuilder:
             # Inverter phase conversion.
             if sol.inv_source is None:
                 raise MappingError("conversion solution without a source")
-            source_net = self._realize_solution(cover, sol.inv_source)
+            source_net = yield self._realize_solution(cover, sol.inv_source)
             net = want_net or self._fresh_net("w")
             inv = self.library.inverter
             inst = self.netlist.add_instance(
@@ -290,7 +304,7 @@ class _NetlistBuilder:
             match = sol.match
             pins: Dict[str, str] = {}
             for pin, (u, leaf_phase) in match.leaves:
-                pins[pin] = self._leaf_net(cover, u, leaf_phase)
+                pins[pin] = yield self._leaf_net(cover, u, leaf_phase)
             net = want_net or self._fresh_net("w")
             inst = self.netlist.add_instance(match.cell.name, pins, net)
             self.instance_positions[inst.name] = sol.com
@@ -299,13 +313,14 @@ class _NetlistBuilder:
         self._realized_sol[id(sol)] = net
         return net
 
-    def _leaf_net(self, cover: TreeCover, vertex: int, phase: bool) -> str:
+    def _leaf_net(self, cover: TreeCover, vertex: int, phase: bool
+                  ) -> Generator[Any, str, str]:
         tree = cover.tree
         shared = (vertex not in tree.members
                   or (vertex in self.part.materialized
                       and vertex != tree.root))
         if not shared:
-            return self._realize(cover, vertex, phase)
+            return (yield self._realize(cover, vertex, phase))
         base_net = self.net_of_vertex.get(vertex)
         if base_net is None:
             raise MappingError(

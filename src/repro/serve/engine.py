@@ -30,9 +30,10 @@ against it.  The execution model is deterministic by construction:
   attaches the persistent disk tier so even *cold* engines warm-start
   layouts and route pools (:mod:`repro.serve.persist`).
 
-A failing job (unknown benchmark, unroutable die, bad BLIF) reports
-``ok: false`` with the error message and the stream continues — one
-poisoned request must not take down a batch of hundreds.
+A failing job (unknown benchmark, unroutable die, bad BLIF, or any
+other ``Exception`` raised while it runs) reports ``ok: false`` with
+the error type and message and the stream continues — one poisoned
+request must not take down a batch of hundreds.
 
 Live telemetry
 --------------
@@ -65,7 +66,6 @@ from ..core import (
     k_search,
     k_sweep,
 )
-from ..errors import ReproError
 from ..exec import fan_out
 from ..library import library_build_stats
 from ..obs import (
@@ -175,7 +175,7 @@ class ServeEngine:
                     result, points = self._dispatch(job)
             else:
                 result, points = self._dispatch(job)
-        except (ReproError, OSError, KeyError, ValueError) as exc:
+        except Exception as exc:
             result, points = JobResult(
                 id=job.id, cmd=job.cmd, source=job.source, ok=False,
                 verdict="error", error=f"{type(exc).__name__}: {exc}"), []

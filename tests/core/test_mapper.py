@@ -14,9 +14,11 @@ from repro.core import (
     min_area,
     min_delay,
 )
+from repro.core.matching import NEG, POS
 from repro.errors import MappingError
 from repro.library import CORELIB018
 from repro.network import check_base_vs_mapped, decompose
+from repro.network.dag import BaseNetwork
 
 
 def random_positions(base, seed=0, size=150.0):
@@ -63,6 +65,34 @@ class TestFunctionPreservation:
         result = map_network(base, CORELIB018, area_congestion(0.05),
                              partition_style="placement",
                              positions=positions)
+        check_base_vs_mapped(base, result.netlist, CORELIB018)
+
+
+def and_chain(gates):
+    """An AND chain of NAND2+INV pairs: one single-fanout subject tree
+    ``2 * gates`` vertices deep."""
+    net = BaseNetwork(f"and{gates}")
+    acc = net.add_input("x0")
+    for i in range(1, gates + 1):
+        acc = net.add_inv(net.add_nand2(acc, net.add_input(f"x{i}")))
+    net.set_output("y", acc)
+    return net
+
+
+class TestDeepTrees:
+    """Tree depth has no bound, so no walk over a cover may recurse
+    once per match level (the fingerprint and the netlist builder did,
+    and a 1,000-gate chain raised RecursionError)."""
+
+    @pytest.mark.parametrize("k", [0.0, 0.01])
+    def test_thousand_gate_chain_maps(self, k):
+        base = and_chain(1000)
+        if k:
+            result = map_network(base, CORELIB018, area_congestion(k),
+                                 positions=random_positions(base))
+        else:
+            result = map_network(base, CORELIB018)
+        assert len(result.partition.roots) == 1
         check_base_vs_mapped(base, result.netlist, CORELIB018)
 
 
@@ -213,6 +243,26 @@ class TestCoverMemo:
         assert again.stats["cover.memo_hits"] > 0
         assert again.netlist.cell_histogram() == \
             first.netlist.cell_histogram()
+
+    def test_shared_refs_cover_every_candidate_leaf(self, small_base):
+        """The signature's shared-leaf references, read from the vertex
+        tables, are every shared leaf of every candidate match."""
+        from repro.core import Matcher
+
+        positions = random_positions(small_base)
+        matcher = Matcher(small_base, CORELIB018)
+        self._map_at(small_base, positions, 0.001, matcher=matcher)
+        refs = matcher._cover_memo._refs
+        assert refs
+        for (_, members, mat), (members_sorted, shared) in refs.items():
+            walked = {(u, ph)
+                      for v in members
+                      for phase in (POS, NEG)
+                      for m in matcher.peek(v, members)[phase]
+                      for _, (u, ph) in m.leaves
+                      if u not in members or u in mat}
+            assert members_sorted == sorted(members)
+            assert shared == tuple(sorted(walked))
 
     def test_ascending_walk_never_hits(self, small_base):
         """Sweeps walk K upward, so probes never have a right bracket —

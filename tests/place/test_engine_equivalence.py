@@ -23,6 +23,8 @@ import repro.place.quadratic as quadratic
 import repro.place.spreading as spreading
 from repro.circuits import spla_like
 from repro.core import (
+    EUCLIDEAN,
+    MANHATTAN,
     BoundaryInfo,
     Matcher,
     PositionMap,
@@ -32,9 +34,12 @@ from repro.core import (
     k_sweep,
     map_network,
     min_area,
+    min_delay,
 )
 from repro.core.flow import FlowConfig
-from repro.library import CORELIB018
+from repro.core.matching import POS
+from repro.library import CORELIB018, CellLibrary, LibCell
+from repro.library.patterns import leaf, pinv, pnand
 from repro.network import decompose
 from repro.network.dag import BaseNetwork
 from repro.place import Floorplan
@@ -195,29 +200,114 @@ def solution_key(sol):
             sol.inv_source_phase)
 
 
+def random_position_map(base, seed, metric=MANHATTAN):
+    rng = np.random.default_rng(seed)
+    return PositionMap(
+        [(float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
+         for _ in range(base.num_vertices())], metric=metric)
+
+
+def busy_boundary(base, positions, seed):
+    """Committed arrivals, wires and complements on every vertex."""
+    rng = random.Random(seed)
+    n = base.num_vertices()
+    return BoundaryInfo(
+        positions,
+        arrivals={v: rng.uniform(0.0, 2.0) for v in range(n)},
+        wires={v: rng.uniform(0.0, 80.0) for v in range(n)},
+        complemented={v for v in range(n) if rng.random() < 0.5})
+
+
+def assert_covers_agree(base, library, objective, boundary):
+    """Per-(vertex, phase) solutions of every tree agree bitwise."""
+    part = dagon_partition(base)
+    matcher = Matcher(base, library)
+    for root in part.roots:
+        args = (base, part.trees[root], matcher, library,
+                objective, boundary, part.materialized)
+        ref = covering._cover_reference(*args)
+        vec = cover_tree(*args)
+        assert set(ref.solutions) == set(vec.solutions)
+        for key in ref.solutions:
+            assert solution_key(ref.solutions[key]) == \
+                solution_key(vec.solutions[key]), key
+
+
+def _cell(name, pattern, area):
+    return LibCell(name=name, patterns=(pattern,), area=area,
+                   intrinsic_delay=0.03, drive_resistance=5.0,
+                   pin_caps={p: 0.002 for p in pattern.leaves()})
+
+
+def and_pattern(pins):
+    """AND of the pins as a balanced tree of INV(NAND2) pairs."""
+    nodes = [leaf(p) for p in pins]
+    while len(nodes) > 1:
+        nodes = [pinv(pnand(a, b)) for a, b in zip(nodes[::2], nodes[1::2])]
+    return nodes[0]
+
+
+#: AND8 consumes 14 subject vertices and has 8 leaves, beyond what
+#: CORELIB018 reaches (7 and 4): wide enough for numpy to sum pairwise.
+WIDE_LIBRARY = CellLibrary("wide", [
+    _cell("INV", pinv(leaf("A")), 1.0),
+    _cell("ND2", pnand(leaf("A"), leaf("B")), 2.0),
+    _cell("AND2", and_pattern("AB"), 3.0),
+    _cell("AND4", and_pattern("ABCD"), 5.5),
+    _cell("AND8", and_pattern("ABCDEFGH"), 9.0),
+])
+
+
+def and_tree_network(inputs):
+    """A balanced AND tree over ``inputs`` primary inputs (one tree)."""
+    net = BaseNetwork(f"and{inputs}")
+    nodes = [net.add_input(f"i{k}") for k in range(inputs)]
+    while len(nodes) > 1:
+        nodes = [net.add_inv(net.add_nand2(a, b))
+                 for a, b in zip(nodes[::2], nodes[1::2])]
+    net.set_output("y", nodes[0])
+    return net
+
+
 class TestCoveringEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("k", [0.0, 0.001, 0.05])
     def test_random_trees_bitwise(self, seed, k):
         """Per-(vertex, phase) solutions agree bitwise on random trees."""
         base = random_tree_network(seed)
-        part = dagon_partition(base)
-        matcher = Matcher(base, CORELIB018)
-        rng = np.random.default_rng(seed)
-        positions = PositionMap(
-            [(float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
-             for _ in range(base.num_vertices())])
+        positions = random_position_map(base, seed)
         objective = area_congestion(k) if k else min_area()
-        boundary = BoundaryInfo(positions)
-        for root in part.roots:
-            args = (base, part.trees[root], matcher, CORELIB018,
-                    objective, boundary, part.materialized)
-            ref = covering._cover_reference(*args)
-            vec = cover_tree(*args)
-            assert set(ref.solutions) == set(vec.solutions)
-            for key in ref.solutions:
-                assert solution_key(ref.solutions[key]) == \
-                    solution_key(vec.solutions[key]), key
+        assert_covers_agree(base, CORELIB018, objective,
+                            BoundaryInfo(positions))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("metric", [MANHATTAN, EUCLIDEAN])
+    @pytest.mark.parametrize("objective", [
+        area_congestion(0.05), area_congestion(0.01, transitive_wire=True),
+        min_delay(0.0), min_delay(0.01)],
+        ids=["area", "transitive", "delay", "delay-wire"])
+    def test_objectives_metrics_and_boundaries_bitwise(self, seed, metric,
+                                                        objective):
+        """Delay and transitive-wire objectives, both metrics, and
+        shared leaves with committed arrivals, wires and complements."""
+        base = random_tree_network(seed)
+        positions = random_position_map(base, seed, metric)
+        assert_covers_agree(base, CORELIB018, objective,
+                            busy_boundary(base, positions, seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("metric", [MANHATTAN, EUCLIDEAN])
+    @pytest.mark.parametrize("k", [0.0, 0.01])
+    def test_wide_matches_bitwise(self, seed, metric, k):
+        """Matches with 8+ consumed vertices and 8+ leaves."""
+        base = and_tree_network(32)
+        positions = random_position_map(base, seed, metric)
+        widest = max(len(m.consumed)
+                     for m in Matcher(base, WIDE_LIBRARY).matches_in_tree(
+                         base.outputs["y"], frozenset(base.gates()))[POS])
+        assert widest == 14
+        assert_covers_agree(base, WIDE_LIBRARY, area_congestion(k),
+                            BoundaryInfo(positions))
 
     @pytest.mark.parametrize("k", [0.0, 0.01])
     def test_mapper_end_to_end(self, k, monkeypatch):

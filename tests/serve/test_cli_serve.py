@@ -13,6 +13,19 @@ JOBS = """\
 """
 
 
+def and_chain_blif(gates):
+    """A chain of two-input ANDs: one subject tree ``2 * gates`` deep."""
+    lines = [".model chain",
+             ".inputs " + " ".join(f"x{i}" for i in range(gates + 1)),
+             ".outputs y"]
+    prev = "x0"
+    for i in range(1, gates + 1):
+        out = "y" if i == gates else f"a{i}"
+        lines += [f".names {prev} x{i} {out}", "11 1"]
+        prev = out
+    return "\n".join(lines + [".end"]) + "\n"
+
+
 class TestParserInheritance:
     """The shared execution flags come from one parent parser."""
 
@@ -84,6 +97,25 @@ class TestServeCommand:
         lines = [json.loads(line) for line in
                  out.read_text().splitlines()]
         assert [line["ok"] for line in lines] == [False, True]
+
+    def test_deep_chain_job_then_next_job(self, tmp_path):
+        """A 1,000-gate AND chain maps (its one subject tree has no
+        depth bound) and the job after it still runs."""
+        blif = tmp_path / "chain.blif"
+        blif.write_text(and_chain_blif(1000))
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(
+            json.dumps({"id": "chain", "cmd": "ksweep",
+                        "source": str(blif), "k": [0.0]}) + "\n"
+            '{"id": "ok", "cmd": "ksweep", "source": "spla@0.01", '
+            '"rows": 12, "k": [0.0]}\n')
+        out = tmp_path / "results.jsonl"
+        rc = main(["serve", str(jobs), "-o", str(out)])
+        assert rc == 0
+        lines = [json.loads(line) for line in
+                 out.read_text().splitlines()]
+        assert [(line["id"], line["ok"]) for line in lines] == \
+            [("chain", True), ("ok", True)]
 
     def test_trace_emission(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.jsonl"

@@ -1,5 +1,7 @@
 """Tests for the batch engine: cache sharing, isolation, determinism."""
 
+import json
+
 import pytest
 
 from repro.core import FlowConfig
@@ -62,6 +64,31 @@ class TestStream:
         summary = engine.summary()
         assert summary["jobs"] == 2
         assert summary["ok"] == 1
+
+    def test_unexpected_exception_does_not_stop_the_stream(self,
+                                                            monkeypatch):
+        """Any Exception a job raises becomes its error line, the next
+        job still runs, and the bytes do not depend on serve_workers."""
+        dispatch = ServeEngine._dispatch
+
+        def flaky(self, job):
+            if job.id == "boom":
+                raise TypeError("injected")
+            return dispatch(self, job)
+
+        monkeypatch.setattr(ServeEngine, "_dispatch", flaky)
+        boom = Job(id="boom", cmd="ksweep", source="spla@0.01", rows=13,
+                   k=(0.0,))
+        lines = {workers: _lines(ServeEngine(_config(),
+                                             serve_workers=workers)
+                                 .run([boom, SWEEP12]))
+                 for workers in (1, 2)}
+        assert lines[1] == lines[2]
+        first, second = (json.loads(line) for line in lines[1])
+        assert (first["id"], first["ok"], first["verdict"]) == \
+            ("boom", False, "error")
+        assert first["error"] == "TypeError: injected"
+        assert (second["id"], second["ok"]) == ("s12", True)
 
 
 class TestCacheSharing:
