@@ -41,6 +41,7 @@ is given).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -248,6 +249,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except JobError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
+    # Before chains are planned: the affinity key must see the real die.
+    jobs = [dataclasses.replace(job, rows=args.rows)
+            if args.rows and not job.rows else job for job in jobs]
     tracer = Tracer("run", command="serve", source=args.jobs) \
         if (args.trace or args.profile) else None
     artifacts_dir = args.artifacts or \
@@ -268,12 +272,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def write_metrics(_document=None) -> None:
         stats = engine.metrics_stats()
-        write_atomic_text(args.metrics_out,
-                          render_prometheus(stats, engine.metrics))
+        write_atomic_text(args.metrics_out, render_prometheus(stats))
         write_atomic_text(
             args.metrics_out + ".json",
-            render_metrics_json(stats, engine.metrics,
-                                {"command": "serve", "jobs": args.jobs}))
+            render_metrics_json(stats, {"command": "serve",
+                                        "jobs": args.jobs}))
 
     if args.metrics_out and status is not None:
         status.on_write = write_metrics

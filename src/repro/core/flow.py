@@ -66,7 +66,6 @@ class FlowConfig:
     partition_style: str = PLACEMENT
     gcell_rows: int = 2
     max_route_iterations: int = 25
-    use_seed_positions: bool = False
     seed: int = 0
     place_attempts: int = 1
     workers: int = 1
@@ -114,16 +113,13 @@ def _placement_attempt(payload: Tuple[Any, ...], attempt: int) -> EvalPoint:
     every attempt warm-starts from the same cache snapshot, which keeps
     parallel attempt fan-outs bit-identical to serial ones.
     """
-    netlist, floorplan, config, seed_positions, k, area, route_cache = payload
+    netlist, floorplan, config, k, area, route_cache = payload
     seed = derive_seed(config.seed, attempt)
     tracer = Tracer("attempt", attempt=attempt)
     place_timings: Dict[str, float] = {}
     with tracer.span("place") as sp_place:
-        placement = place_netlist(
-            netlist, config.library, floorplan,
-            seed_positions=(seed_positions if config.use_seed_positions
-                            else None),
-            seed=seed, timings=place_timings)
+        placement = place_netlist(netlist, config.library, floorplan,
+                                  seed=seed, timings=place_timings)
     router = GlobalRouter(floorplan, config.resources,
                           gcell_rows=config.gcell_rows,
                           max_iterations=config.max_route_iterations,
@@ -171,9 +167,7 @@ def _select_best(points: Sequence[EvalPoint]) -> EvalPoint:
 
 
 def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
-                     config: FlowConfig,
-                     seed_positions: Optional[Dict[str, Tuple[float, float]]]
-                     = None, k: float = 0.0,
+                     config: FlowConfig, k: float = 0.0,
                      workers: Optional[int] = None,
                      route_cache: Optional[RouteCache] = None) -> EvalPoint:
     """Place + globally route one netlist; summarise like a table row.
@@ -198,8 +192,7 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
     area = netlist.total_area(config.library)
     attempts = max(1, config.place_attempts)
     nworkers = max(1, config.workers if workers is None else workers)
-    payload = (netlist, floorplan, config, seed_positions, k, area,
-               route_cache)
+    payload = (netlist, floorplan, config, k, area, route_cache)
     if attempts > 1 and nworkers > 1:
         exec_stats = StatsRegistry()
         points = fan_out(_placement_attempt, payload, range(attempts),
@@ -253,8 +246,7 @@ def run_k_point(base: BaseNetwork, positions: PositionMap,
                               positions=positions,
                               partition=partition, matcher=matcher)
     sp_map.counters.absorb(mapping.stats)
-    point = evaluate_netlist(mapping.netlist, floorplan, config,
-                             seed_positions=mapping.instance_positions, k=k,
+    point = evaluate_netlist(mapping.netlist, floorplan, config, k=k,
                              route_cache=route_cache)
     point.mapping = mapping
     point.stats.time("map.t_total", sp_map.duration)
@@ -552,7 +544,6 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
 
 def find_routable_die(netlist: MappedNetlist, start_rows: int,
                       config: FlowConfig,
-                      seed_positions: Optional[Dict] = None,
                       max_extra_rows: int = 12, aspect: float = 1.0,
                       row_height: Optional[float] = None,
                       tolerance: int = 0) -> Tuple[Floorplan, EvalPoint]:
@@ -569,8 +560,7 @@ def find_routable_die(netlist: MappedNetlist, start_rows: int,
     for rows in range(start_rows, start_rows + max_extra_rows + 1):
         floorplan = Floorplan.from_rows(rows, row_height=rh, aspect=aspect)
         try:
-            point = evaluate_netlist(netlist, floorplan, config,
-                                     seed_positions=seed_positions)
+            point = evaluate_netlist(netlist, floorplan, config)
         except PlacementError as exc:
             last_error = str(exc)
             continue

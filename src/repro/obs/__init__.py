@@ -4,11 +4,15 @@ This package is the instrumentation layer every flow stage reports
 through:
 
 * :class:`StatsRegistry` — namespaced, collision-safe, typed counters
-  that merge deterministically across process-pool workers;
+  that merge deterministically across process-pool workers, plus the
+  two streaming kinds a serve session needs: fixed-bucket
+  :class:`Histogram` and windowed :class:`RollingGauge` instruments;
 * :class:`Tracer` / :class:`Span` — the hierarchical span tree of one
   run (run → sweep → k-point → phase) with monotonic wall-times,
   emittable as JSON-lines;
 * :func:`profile_report` — per-phase time/counter breakdown tables;
+* :func:`render_prometheus` / :func:`render_metrics_json` — one
+  registry as Prometheus text or one JSON document;
 * :func:`write_congestion_artifacts` — per-K-point GCell overflow
   heatmaps (CSV + ASCII).
 """
@@ -17,8 +21,13 @@ from .registry import (
     COUNT,
     ENV,
     GAUGE,
+    HIST,
+    Histogram,
     KINDS,
+    LATENCY_BUCKETS,
     METRIC,
+    ROLLING,
+    RollingGauge,
     StatEntry,
     StatsCollisionError,
     StatsRegistry,
@@ -26,18 +35,7 @@ from .registry import (
     WORK,
 )
 from .tracer import Span, TraceError, Tracer
-from .metrics import (
-    BYTE_BUCKETS,
-    HIST,
-    Histogram,
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-    ROLLING,
-    RollingGauge,
-    parse_prometheus,
-    render_metrics_json,
-    render_prometheus,
-)
+from .metrics import parse_prometheus, render_metrics_json, render_prometheus
 from .artifacts import (
     congestion_map_csv,
     congestion_map_text,
@@ -46,7 +44,6 @@ from .artifacts import (
 from .profile import merged_counters, phase_breakdown, profile_report
 
 __all__ = [
-    "BYTE_BUCKETS",
     "COUNT",
     "ENV",
     "GAUGE",
@@ -55,7 +52,6 @@ __all__ = [
     "KINDS",
     "LATENCY_BUCKETS",
     "METRIC",
-    "MetricsRegistry",
     "ROLLING",
     "RollingGauge",
     "Span",

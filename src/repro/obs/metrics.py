@@ -1,35 +1,12 @@
-"""Streaming metrics: fixed-bucket histograms and rolling gauges.
+"""Export of a stats registry: Prometheus text and one JSON document.
 
-:class:`~repro.obs.registry.StatsRegistry` records *totals* — one
-number per key, written once.  A long-lived ``repro serve`` session
-needs *distributions*: how long do jobs take, how long do they wait,
-where does the time go per phase, how does the cache footprint move.
-This module adds the two streaming kinds of the registry family:
+A long-lived ``repro serve`` session keeps its counters, histograms
+and rolling gauges in one :class:`~repro.obs.registry.StatsRegistry`;
+this module renders that registry for scrapers and files:
 
-* :class:`Histogram` (kind ``hist``) — a **deterministic fixed-bucket
-  histogram**: bucket upper bounds are fixed at construction
-  (``le``-inclusive, Prometheus semantics, with an implicit ``+Inf``
-  overflow bucket) and observations land by binary search.  Merging is
-  bucket-wise integer addition plus an ordered float sum, so merging
-  the same per-chain histograms **in chain order** is bit-identical to
-  observing the union sequentially — the ``workers=1`` vs ``workers=N``
-  discipline the counter registry already obeys.
-* :class:`RollingGauge` (kind ``rolling``) — a bounded window over the
-  most recent samples of a moving quantity (cache bytes over time),
-  with all-time count/min/max.  Chain windows concatenate in merge
-  order and the window keeps the newest samples.
-
-:class:`MetricsRegistry` holds both under the same namespaced-key,
-collision-safe rules as :class:`StatsRegistry`: a key names one
-instrument forever; re-declaring it with different buckets (or as a
-different kind) raises :class:`~repro.obs.registry.StatsCollisionError`.
-Unlike the counter registry, *observing* an existing instrument is the
-normal repeated operation.
-
-The module also owns the export surface:
-
-* :func:`render_prometheus` — the registry (counters + histograms +
-  rolling gauges) in the Prometheus text exposition format (v0.0.4);
+* :func:`render_prometheus` — the registry in the Prometheus text
+  exposition format (v0.0.4): scalar entries first, then histograms,
+  then rolling gauges;
 * :func:`render_metrics_json` — the same payload as one JSON document;
 * :func:`parse_prometheus` — a minimal text-format parser, enough to
   round-trip everything :func:`render_prometheus` emits (used by the
@@ -39,318 +16,11 @@ The module also owns the export surface:
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from .registry import (
-    COUNT,
-    StatsCollisionError,
-    StatsRegistry,
-    TIME,
-    WORK,
-    _KEY_RE,
-)
+from .registry import COUNT, HIST, ROLLING, StatsRegistry, TIME, WORK
 
-__all__ = [
-    "BYTE_BUCKETS",
-    "HIST",
-    "Histogram",
-    "LATENCY_BUCKETS",
-    "MetricsRegistry",
-    "ROLLING",
-    "RollingGauge",
-    "parse_prometheus",
-    "render_metrics_json",
-    "render_prometheus",
-]
-
-#: The streaming kinds (the counter kinds live in :mod:`.registry`).
-HIST = "hist"
-ROLLING = "rolling"
-
-#: Default bucket bounds for wall-time observations, in seconds —
-#: log-ish spacing from 1 ms to 5 min (jobs slower than that land in
-#: the +Inf overflow bucket).
-LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
-
-#: Default bucket bounds for byte-sized observations — powers of four
-#: from 1 KiB to 1 GiB.
-BYTE_BUCKETS: Tuple[float, ...] = tuple(
-    float(1024 * 4 ** i) for i in range(11))
-
-#: Samples a rolling gauge retains by default.
-DEFAULT_WINDOW = 64
-
-
-class Histogram:
-    """A fixed-bucket distribution with deterministic merge.
-
-    ``bounds`` are the finite ``le``-inclusive upper bounds in strictly
-    increasing order; an implicit ``+Inf`` bucket catches the rest.
-    """
-
-    __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
-
-    def __init__(self, bounds: Iterable[float] = LATENCY_BUCKETS):  # noqa: D107
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b >= c for b, c in zip(self.bounds, self.bounds[1:])):
-            raise ValueError(
-                f"histogram bounds must strictly increase: {self.bounds}")
-        self.counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        """Record one sample."""
-        value = float(value)
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    def merge(self, other: "Histogram") -> None:
-        """Accumulate another histogram (bounds must match exactly).
-
-        Bucket counts add as integers; ``sum`` adds in merge order —
-        merging per-chain histograms in chain order therefore yields
-        the same bits as one histogram fed the concatenated streams.
-        """
-        if other.bounds != self.bounds:
-            raise StatsCollisionError(
-                f"histogram merge with mismatched bounds: "
-                f"{self.bounds} vs {other.bounds}")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None:
-            self.min = other.min if self.min is None \
-                else min(self.min, other.min)
-        if other.max is not None:
-            self.max = other.max if self.max is None \
-                else max(self.max, other.max)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-serializable copy of the full state."""
-        return {"kind": HIST, "bounds": list(self.bounds),
-                "counts": list(self.counts), "count": self.count,
-                "sum": self.sum, "min": self.min, "max": self.max}
-
-    @classmethod
-    def from_snapshot(cls, data: Dict[str, Any]) -> "Histogram":
-        """Rebuild a histogram from :meth:`snapshot` output."""
-        hist = cls(data["bounds"])
-        hist.counts = [int(n) for n in data["counts"]]
-        hist.count = int(data["count"])
-        hist.sum = float(data["sum"])
-        hist.min = data["min"] if data["min"] is None \
-            else float(data["min"])
-        hist.max = data["max"] if data["max"] is None \
-            else float(data["max"])
-        return hist
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Histogram(count={self.count}, sum={self.sum:.6g}, "
-                f"buckets={len(self.bounds)})")
-
-
-class RollingGauge:
-    """The recent trajectory of a moving quantity, plus lifetime extrema."""
-
-    __slots__ = ("window", "samples", "count", "min", "max")
-
-    def __init__(self, window: int = DEFAULT_WINDOW):  # noqa: D107
-        if window < 1:
-            raise ValueError("rolling gauge window must be >= 1")
-        self.window = int(window)
-        self.samples: List[float] = []
-        self.count = 0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def record(self, value: float) -> None:
-        """Append one sample (oldest samples fall off the window)."""
-        value = float(value)
-        self.samples.append(value)
-        if len(self.samples) > self.window:
-            del self.samples[:len(self.samples) - self.window]
-        self.count += 1
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    @property
-    def last(self) -> Optional[float]:
-        """The most recent sample (None before the first)."""
-        return self.samples[-1] if self.samples else None
-
-    def merge(self, other: "RollingGauge") -> None:
-        """Concatenate another gauge's window after this one's.
-
-        Windows must agree; the merged window keeps the newest samples,
-        so merging chain gauges in chain order ends on the last chain's
-        trajectory — a deterministic rule, if an arbitrary one.
-        """
-        if other.window != self.window:
-            raise StatsCollisionError(
-                f"rolling merge with mismatched windows: "
-                f"{self.window} vs {other.window}")
-        self.samples.extend(other.samples)
-        if len(self.samples) > self.window:
-            del self.samples[:len(self.samples) - self.window]
-        self.count += other.count
-        if other.min is not None:
-            self.min = other.min if self.min is None \
-                else min(self.min, other.min)
-        if other.max is not None:
-            self.max = other.max if self.max is None \
-                else max(self.max, other.max)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-serializable copy of the full state."""
-        return {"kind": ROLLING, "window": self.window,
-                "samples": list(self.samples), "count": self.count,
-                "min": self.min, "max": self.max,
-                "last": self.last}
-
-    @classmethod
-    def from_snapshot(cls, data: Dict[str, Any]) -> "RollingGauge":
-        """Rebuild a gauge from :meth:`snapshot` output."""
-        gauge = cls(data["window"])
-        gauge.samples = [float(v) for v in data["samples"]]
-        gauge.count = int(data["count"])
-        gauge.min = data["min"] if data["min"] is None \
-            else float(data["min"])
-        gauge.max = data["max"] if data["max"] is None \
-            else float(data["max"])
-        return gauge
-
-
-class MetricsRegistry:
-    """Namespaced, collision-safe registry of streaming instruments.
-
-    The streaming sibling of :class:`StatsRegistry`: keys follow the
-    same ``<namespace>.<name>`` rule, an instrument is *declared* once
-    (get-or-create — re-declaring with different parameters raises),
-    and :meth:`merge` combines per-chain registries deterministically
-    in call order.
-    """
-
-    def __init__(self) -> None:  # noqa: D107
-        self._hists: Dict[str, Histogram] = {}
-        self._rollings: Dict[str, RollingGauge] = {}
-
-    def _check_key(self, key: str) -> None:
-        if not _KEY_RE.match(key):
-            raise ValueError(
-                f"metrics key {key!r} is not namespaced "
-                "(expected '<namespace>.<name>', lowercase)")
-        if key in self._hists and key in self._rollings:  # pragma: no cover
-            raise StatsCollisionError(f"metrics key {key!r} has two kinds")
-
-    # -- declaring / observing -------------------------------------------
-
-    def histogram(self, key: str,
-                  bounds: Iterable[float] = LATENCY_BUCKETS) -> Histogram:
-        """Get or create the histogram at ``key``."""
-        self._check_key(key)
-        if key in self._rollings:
-            raise StatsCollisionError(
-                f"metrics key {key!r} is a rolling gauge, not a histogram")
-        hist = self._hists.get(key)
-        if hist is None:
-            hist = self._hists[key] = Histogram(bounds)
-        elif hist.bounds != tuple(float(b) for b in bounds):
-            raise StatsCollisionError(
-                f"histogram {key!r} re-declared with different bounds")
-        return hist
-
-    def rolling(self, key: str,
-                window: int = DEFAULT_WINDOW) -> RollingGauge:
-        """Get or create the rolling gauge at ``key``."""
-        self._check_key(key)
-        if key in self._hists:
-            raise StatsCollisionError(
-                f"metrics key {key!r} is a histogram, not a rolling gauge")
-        gauge = self._rollings.get(key)
-        if gauge is None:
-            gauge = self._rollings[key] = RollingGauge(window)
-        elif gauge.window != int(window):
-            raise StatsCollisionError(
-                f"rolling gauge {key!r} re-declared with different window")
-        return gauge
-
-    def observe(self, key: str, value: float,
-                bounds: Iterable[float] = LATENCY_BUCKETS) -> None:
-        """Shorthand: one histogram observation."""
-        self.histogram(key, bounds).observe(value)
-
-    def record(self, key: str, value: float,
-               window: int = DEFAULT_WINDOW) -> None:
-        """Shorthand: one rolling-gauge sample."""
-        self.rolling(key, window).record(value)
-
-    # -- combining / views ------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Accumulate another registry instrument-wise (kinds must agree)."""
-        for key, hist in other._hists.items():
-            if key in self._rollings:
-                raise StatsCollisionError(
-                    f"merge kind mismatch for {key!r}: rolling vs hist")
-            self.histogram(key, hist.bounds).merge(hist)
-        for key, gauge in other._rollings.items():
-            if key in self._hists:
-                raise StatsCollisionError(
-                    f"merge kind mismatch for {key!r}: hist vs rolling")
-            self.rolling(key, gauge.window).merge(gauge)
-
-    def histograms(self) -> Dict[str, Histogram]:
-        """The histogram instruments, in declaration order."""
-        return dict(self._hists)
-
-    def rollings(self) -> Dict[str, RollingGauge]:
-        """The rolling-gauge instruments, in declaration order."""
-        return dict(self._rollings)
-
-    def __len__(self) -> int:
-        return len(self._hists) + len(self._rollings)
-
-    def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """``{key: instrument snapshot}`` for every instrument.
-
-        The transport form: chain workers ship this back through the
-        process pool and the engine rebuilds with
-        :meth:`from_snapshot` — a plain dict pickles smaller and more
-        stably than live instruments.
-        """
-        out: Dict[str, Dict[str, Any]] = {}
-        for key, hist in self._hists.items():
-            out[key] = hist.snapshot()
-        for key, gauge in self._rollings.items():
-            out[key] = gauge.snapshot()
-        return out
-
-    @classmethod
-    def from_snapshot(cls, data: Dict[str, Dict[str, Any]]
-                      ) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output."""
-        registry = cls()
-        for key, snap in data.items():
-            if snap.get("kind") == ROLLING:
-                registry._rollings[key] = RollingGauge.from_snapshot(snap)
-            else:
-                registry._hists[key] = Histogram.from_snapshot(snap)
-        return registry
-
-
-# -- export ---------------------------------------------------------------
+__all__ = ["parse_prometheus", "render_metrics_json", "render_prometheus"]
 
 #: StatsRegistry kinds rendered as Prometheus counters (monotone
 #: totals); everything else numeric renders as a gauge.
@@ -373,61 +43,60 @@ def _prom_num(value: float) -> str:
     return repr(float(value))
 
 
-def render_prometheus(stats: Optional[StatsRegistry],
-                      metrics: Optional["MetricsRegistry"] = None,
-                      prefix: str = "repro") -> str:
-    """The full registry family in Prometheus text exposition format.
+def render_prometheus(registry: StatsRegistry, prefix: str = "repro") -> str:
+    """A stats registry in Prometheus text exposition format.
 
-    ``stats`` entries become counters (``count``/``work``/``time``
-    kinds) or gauges (the rest); histograms emit the standard
+    Scalar entries become counters (``count``/``work``/``time`` kinds)
+    or gauges (the rest); histograms emit the standard
     ``_bucket``/``_sum``/``_count`` triplet with cumulative
     ``le``-labelled buckets; rolling gauges emit their last sample as
     a gauge plus ``_min``/``_max`` companions.
     """
     lines: List[str] = []
-    if stats is not None:
-        kinds = stats.kinds()
-        for key, value in stats.as_dict().items():
-            name = _prom_name(key, prefix)
-            ptype = "counter" if kinds[key] in _COUNTER_KINDS else "gauge"
-            lines.append(f"# TYPE {name} {ptype}")
-            lines.append(f"{name} {_prom_num(value)}")
-    if metrics is not None:
-        for key, hist in metrics.histograms().items():
-            name = _prom_name(key, prefix)
-            lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for bound, count in zip(hist.bounds, hist.counts):
-                cumulative += count
-                lines.append(f'{name}_bucket{{le="{_prom_num(bound)}"}} '
-                             f"{cumulative}")
-            cumulative += hist.counts[-1]
-            lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative}')
-            lines.append(f"{name}_sum {_prom_num(hist.sum)}")
-            lines.append(f"{name}_count {hist.count}")
-        for key, gauge in metrics.rollings().items():
-            name = _prom_name(key, prefix)
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {_prom_num(gauge.last or 0.0)}")
-            if gauge.min is not None:
-                lines.append(f"{name}_min {_prom_num(gauge.min)}")
-            if gauge.max is not None:
-                lines.append(f"{name}_max {_prom_num(gauge.max)}")
+    kinds = registry.kinds()
+    for key, value in registry.as_dict().items():
+        name = _prom_name(key, prefix)
+        ptype = "counter" if kinds[key] in _COUNTER_KINDS else "gauge"
+        lines.append(f"# TYPE {name} {ptype}")
+        lines.append(f"{name} {_prom_num(value)}")
+    instruments = registry.instruments()
+    for key, hist in instruments.items():
+        if hist.kind != HIST:
+            continue
+        name = _prom_name(key, prefix)
+        lines.append(f"# TYPE {name} histogram")
+        cumulative = 0
+        for bound, count in zip(hist.bounds, hist.counts):
+            cumulative += count
+            lines.append(f'{name}_bucket{{le="{_prom_num(bound)}"}} '
+                         f"{cumulative}")
+        cumulative += hist.counts[-1]
+        lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative}')
+        lines.append(f"{name}_sum {_prom_num(hist.sum)}")
+        lines.append(f"{name}_count {hist.count}")
+    for key, gauge in instruments.items():
+        if gauge.kind != ROLLING:
+            continue
+        name = _prom_name(key, prefix)
+        lines.append(f"# TYPE {name} gauge")
+        lines.append(f"{name} {_prom_num(gauge.last or 0.0)}")
+        if gauge.min is not None:
+            lines.append(f"{name}_min {_prom_num(gauge.min)}")
+        if gauge.max is not None:
+            lines.append(f"{name}_max {_prom_num(gauge.max)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_metrics_json(stats: Optional[StatsRegistry],
-                        metrics: Optional["MetricsRegistry"] = None,
+def render_metrics_json(registry: StatsRegistry,
                         meta: Optional[Dict[str, Any]] = None) -> str:
     """The same payload as one JSON document (sorted keys)."""
     doc: Dict[str, Any] = {"schema_version": 1}
     if meta:
         doc.update(meta)
-    if stats is not None:
-        doc["counters"] = stats.as_dict()
-        doc["counter_kinds"] = stats.kinds()
-    if metrics is not None:
-        doc["instruments"] = metrics.snapshot()
+    doc["counters"] = registry.as_dict()
+    doc["counter_kinds"] = registry.kinds()
+    doc["instruments"] = {key: inst.snapshot() for key, inst
+                          in registry.instruments().items()}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

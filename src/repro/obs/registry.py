@@ -40,12 +40,28 @@ algorithmic count.  :class:`StatsRegistry` replaces them:
                              (worker counts, flags)
   ========  ======  =======  ==================================
 
+* **Streaming instruments** — two more kinds hold distributions
+  rather than totals, for a long-lived ``repro serve`` session:
+  :class:`Histogram` (kind ``hist``: fixed ``le``-inclusive buckets)
+  and :class:`RollingGauge` (kind ``rolling``: a window over the most
+  recent samples).  :meth:`observe` and :meth:`record` create the
+  instrument on first use and feed it on every later call; a key
+  still names one thing forever, so naming it again as another kind,
+  with other bounds or another window, or writing a scalar to it,
+  raises :class:`StatsCollisionError`.
+
 * **Deterministic merging** — :meth:`merge` combines registries by the
   per-kind rules above in insertion order, so aggregating the same
   per-task registries in task order yields bit-identical totals no
-  matter how many processes produced them.  The
+  matter how many processes produced them.  Instruments merge
+  bucket-wise (histograms) or by window concatenation (rolling
+  gauges), so merging per-chain registries in chain order equals
+  observing the concatenated streams in one registry.  The
   :meth:`deterministic` view (``count`` + ``gauge`` entries) is the
   subset guaranteed equal between ``workers=1`` and ``workers=N``.
+* **Scalar views stay scalar** — the mapping protocol,
+  :meth:`as_dict`, :meth:`kinds` and :meth:`deterministic` cover the
+  scalar entries; :meth:`instruments` returns the instruments.
 
 Lookup accepts either the canonical dotted key or its bare final
 component when unambiguous (``stats["cell_area"]`` finds
@@ -57,8 +73,10 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union)
 
 from ..errors import ReproError
 
@@ -66,8 +84,13 @@ __all__ = [
     "COUNT",
     "ENV",
     "GAUGE",
+    "HIST",
+    "Histogram",
     "KINDS",
+    "LATENCY_BUCKETS",
     "METRIC",
+    "ROLLING",
+    "RollingGauge",
     "StatEntry",
     "StatsCollisionError",
     "StatsRegistry",
@@ -82,7 +105,9 @@ GAUGE = "gauge"
 METRIC = "metric"
 WORK = "work"
 ENV = "env"
-KINDS = (TIME, COUNT, GAUGE, METRIC, WORK, ENV)
+HIST = "hist"
+ROLLING = "rolling"
+KINDS = (TIME, COUNT, GAUGE, METRIC, WORK, ENV, HIST, ROLLING)
 
 #: Kinds holding integers end-to-end.
 _INT_KINDS = (COUNT, WORK, ENV)
@@ -118,23 +143,178 @@ def _as_int(key: str, value: object) -> int:
             f"got {type(value).__name__}") from None
 
 
+#: Default bucket bounds for wall-time observations, in seconds —
+#: log-ish spacing from 1 ms to 5 min (jobs slower than that land in
+#: the +Inf overflow bucket).
+LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
+    1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
+
+#: Samples a rolling gauge retains by default.
+DEFAULT_WINDOW = 64
+
+
+class Histogram:
+    """A fixed-bucket distribution with deterministic merge.
+
+    ``bounds`` are the finite ``le``-inclusive upper bounds in strictly
+    increasing order; an implicit ``+Inf`` bucket catches the rest.
+    Observations land by binary search.
+    """
+
+    __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
+    kind = HIST
+
+    def __init__(self, bounds: Iterable[float] = LATENCY_BUCKETS):  # noqa: D107
+        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
+        if not self.bounds:
+            raise ValueError("histogram needs at least one bucket bound")
+        if any(b >= c for b, c in zip(self.bounds, self.bounds[1:])):
+            raise ValueError(
+                f"histogram bounds must strictly increase: {self.bounds}")
+        self.counts: List[int] = [0] * (len(self.bounds) + 1)
+        self.count = 0
+        self.sum = 0.0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
+
+    @property
+    def param(self) -> Tuple[float, ...]:
+        """What the histogram was declared with: its bucket bounds."""
+        return self.bounds
+
+    def observe(self, value: float) -> None:
+        """Record one sample."""
+        value = float(value)
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.count += 1
+        self.sum += value
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
+
+    def merge(self, other: "Histogram") -> None:
+        """Accumulate another histogram (bounds must match exactly).
+
+        Bucket counts add as integers; ``sum`` adds in merge order —
+        merging per-chain histograms in chain order therefore yields
+        the same bits as one histogram fed the concatenated streams.
+        """
+        if other.bounds != self.bounds:
+            raise StatsCollisionError(
+                f"histogram merge with mismatched bounds: "
+                f"{self.bounds} vs {other.bounds}")
+        for i, n in enumerate(other.counts):
+            self.counts[i] += n
+        self.count += other.count
+        self.sum += other.sum
+        if other.min is not None:
+            self.min = other.min if self.min is None \
+                else min(self.min, other.min)
+        if other.max is not None:
+            self.max = other.max if self.max is None \
+                else max(self.max, other.max)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """A JSON-serializable copy of the full state."""
+        return {"kind": HIST, "bounds": list(self.bounds),
+                "counts": list(self.counts), "count": self.count,
+                "sum": self.sum, "min": self.min, "max": self.max}
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"Histogram(count={self.count}, sum={self.sum:.6g}, "
+                f"buckets={len(self.bounds)})")
+
+
+class RollingGauge:
+    """The recent trajectory of a moving quantity, plus lifetime extrema."""
+
+    __slots__ = ("window", "samples", "count", "min", "max")
+    kind = ROLLING
+
+    def __init__(self, window: int = DEFAULT_WINDOW):  # noqa: D107
+        if window < 1:
+            raise ValueError("rolling gauge window must be >= 1")
+        self.window = int(window)
+        self.samples: List[float] = []
+        self.count = 0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
+
+    @property
+    def param(self) -> int:
+        """What the gauge was declared with: its window."""
+        return self.window
+
+    def record(self, value: float) -> None:
+        """Append one sample (oldest samples fall off the window)."""
+        value = float(value)
+        self.samples.append(value)
+        if len(self.samples) > self.window:
+            del self.samples[:len(self.samples) - self.window]
+        self.count += 1
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
+
+    @property
+    def last(self) -> Optional[float]:
+        """The most recent sample (None before the first)."""
+        return self.samples[-1] if self.samples else None
+
+    def merge(self, other: "RollingGauge") -> None:
+        """Concatenate another gauge's window after this one's.
+
+        Windows must agree; the merged window keeps the newest samples,
+        so merging chain gauges in chain order ends on the last chain's
+        trajectory — a deterministic rule, if an arbitrary one.
+        """
+        if other.window != self.window:
+            raise StatsCollisionError(
+                f"rolling merge with mismatched windows: "
+                f"{self.window} vs {other.window}")
+        self.samples.extend(other.samples)
+        if len(self.samples) > self.window:
+            del self.samples[:len(self.samples) - self.window]
+        self.count += other.count
+        if other.min is not None:
+            self.min = other.min if self.min is None \
+                else min(self.min, other.min)
+        if other.max is not None:
+            self.max = other.max if self.max is None \
+                else max(self.max, other.max)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """A JSON-serializable copy of the full state."""
+        return {"kind": ROLLING, "window": self.window,
+                "samples": list(self.samples), "count": self.count,
+                "min": self.min, "max": self.max,
+                "last": self.last}
+
+
+Instrument = Union[Histogram, RollingGauge]
+
+
 class StatsRegistry(Mapping):
     """Insertion-ordered mapping of namespaced keys to typed stats."""
 
     def __init__(self) -> None:  # noqa: D107
         self._entries: Dict[str, StatEntry] = {}
+        self._instruments: Dict[str, Instrument] = {}
 
     # -- writing ---------------------------------------------------------
 
-    def _put(self, key: str, value: Number, kind: str) -> None:
+    def _claim(self, key: str) -> None:
+        """Check that ``key`` is namespaced and names nothing yet."""
         if not _KEY_RE.match(key):
             raise ValueError(
                 f"stats key {key!r} is not namespaced "
                 "(expected '<namespace>.<name>', lowercase)")
-        if key in self._entries:
+        existing = self._entries.get(key) or self._instruments.get(key)
+        if existing is not None:
             raise StatsCollisionError(
-                f"stats key {key!r} written twice "
-                f"(existing {self._entries[key]})")
+                f"stats key {key!r} written twice (existing {existing})")
+
+    def _put(self, key: str, value: Number, kind: str) -> None:
+        self._claim(key)
         self._entries[key] = StatEntry(value=value, kind=kind)
 
     def time(self, key: str, seconds: float) -> None:
@@ -162,6 +342,34 @@ class StatsRegistry(Mapping):
         """Record an execution-environment fact (int, merged by max)."""
         self._put(key, _as_int(key, value), ENV)
 
+    def _instrument(self, key: str, cls: type, param: Any) -> Instrument:
+        """The ``cls`` instrument at ``key``, created on first use.
+
+        ``param`` (histogram bounds, rolling window) is fixed by the
+        first use; a later use with another kind or parameter is a
+        collision, like a second scalar write.
+        """
+        inst = self._instruments.get(key)
+        if inst is None:
+            self._claim(key)
+            inst = self._instruments[key] = cls(param)
+        elif type(inst) is not cls or inst.param != param:
+            raise StatsCollisionError(
+                f"instrument {key!r} is a {inst.kind} of {inst.param!r}, "
+                f"not a {cls.kind} of {param!r}")
+        return inst
+
+    def observe(self, key: str, value: float,
+                bounds: Iterable[float] = LATENCY_BUCKETS) -> None:
+        """One observation of the histogram at ``key``."""
+        self._instrument(key, Histogram,
+                         tuple(float(b) for b in bounds)).observe(value)
+
+    def record(self, key: str, value: float,
+               window: int = DEFAULT_WINDOW) -> None:
+        """One sample of the rolling gauge at ``key``."""
+        self._instrument(key, RollingGauge, int(window)).record(value)
+
     # -- combining -------------------------------------------------------
 
     def absorb(self, other: "StatsRegistry") -> None:
@@ -170,27 +378,32 @@ class StatsRegistry(Mapping):
         This is the composition operation (routing stats into an
         evaluation's stats): the key spaces must be disjoint, which is
         exactly what namespacing guarantees — a collision here is a
-        bug, not data.
+        bug, not data.  Instruments are adopted as copies.
         """
-        for key in other._entries:
-            if key in self._entries:
-                raise StatsCollisionError(
-                    f"absorb would overwrite {key!r} "
-                    f"({self._entries[key]} <- {other._entries[key]})")
+        for key in (*other._entries, *other._instruments):
+            if key in self._entries or key in self._instruments:
+                raise StatsCollisionError(f"absorb would overwrite {key!r}")
         self._entries.update(other._entries)
+        self._merge_instruments(other)
 
     def merge(self, other: "StatsRegistry") -> None:
         """Accumulate another registry by the per-kind merge rules.
 
         This is the aggregation operation (the same counters from many
         tasks or workers): values of matching keys are summed
-        (``env``: maxed); kinds must agree.  Merging task registries in
-        task order is deterministic — the serial and the parallel paths
-        produce bit-identical aggregates.
+        (``env``: maxed) and instruments merge instrument-wise; kinds
+        must agree.  Merging task registries in task order is
+        deterministic — the serial and the parallel paths produce
+        bit-identical aggregates.  An instrument seen for the first
+        time is merged into a new one, never shared with ``other``.
         """
         for key, entry in other._entries.items():
             mine = self._entries.get(key)
             if mine is None:
+                if key in self._instruments:
+                    raise StatsCollisionError(
+                        f"merge kind mismatch for {key!r}: "
+                        f"{self._instruments[key].kind} vs {entry.kind}")
                 self._entries[key] = entry
                 continue
             if mine.kind != entry.kind:
@@ -202,6 +415,11 @@ class StatsRegistry(Mapping):
             else:
                 value = mine.value + entry.value
             self._entries[key] = StatEntry(value=value, kind=entry.kind)
+        self._merge_instruments(other)
+
+    def _merge_instruments(self, other: "StatsRegistry") -> None:
+        for key, theirs in other._instruments.items():
+            self._instrument(key, type(theirs), theirs.param).merge(theirs)
 
     @classmethod
     def merged(cls, registries: "Iterator[StatsRegistry]") -> "StatsRegistry":
@@ -230,6 +448,10 @@ class StatsRegistry(Mapping):
     def kind(self, key: str) -> str:
         """The kind of one entry (accepts bare suffixes like lookup)."""
         return self._entries[self._resolve(key)].kind
+
+    def instruments(self) -> Dict[str, Instrument]:
+        """The live instruments, in declaration order."""
+        return dict(self._instruments)
 
     # -- mapping protocol (with bare-suffix resolution) -----------------
 

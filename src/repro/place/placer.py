@@ -190,14 +190,11 @@ def place_base_network(network: BaseNetwork, floorplan: Floorplan,
 
 def place_netlist(netlist: MappedNetlist, library: CellLibrary,
                   floorplan: Floorplan,
-                  seed_positions: Optional[Dict[str, Point]] = None,
                   anneal_moves: int = 0, seed: int = 0,
                   method: str = "mincut",
                   timings: Optional[Timings] = None) -> Placement:
     """Place a mapped netlist: quadratic + spreading + legalization.
 
-    ``seed_positions`` (e.g. match centers of mass from the mapper) bias
-    the analytical solve through weak anchor pseudo-nets.
     ``anneal_moves > 0`` runs an SA refinement before legalization
     (small blocks only).
     """
@@ -228,10 +225,6 @@ def place_netlist(netlist: MappedNetlist, library: CellLibrary,
             fixed.append(pads[po])
         if len(movables) + len(fixed) >= 2:
             nets.append(QpNet(movables=movables, fixed=fixed))
-    if seed_positions:
-        for name, point in seed_positions.items():
-            if name in index:
-                nets.append(QpNet(movables=[index[name]], fixed=[point]))
 
     spread_pos = _global_place(len(inst_names), nets, floorplan,
                                weights=np.asarray(widths), method=method,

@@ -40,11 +40,13 @@ Live telemetry
 The engine additionally streams **metrics** while it runs: per-job
 latency, queue wait and per-phase (map / place / route / covering DP)
 times land in fixed-bucket histograms, the estimated cache footprint
-in a rolling gauge (one :class:`~repro.obs.metrics.MetricsRegistry`
-per engine, chain registries merged back in chain order), and a
-**slow-job watchdog** counts jobs that blow a soft per-job deadline
-(``slow_job_s``) into ``serve.slow_jobs`` with a ``slow_job`` trace
-event — the observability groundwork for admission control.  A
+in a rolling gauge — both kinds of the engine's one
+:class:`~repro.obs.registry.StatsRegistry` (:attr:`ServeEngine.metrics`;
+chain workers send their registries back as they are and the engine
+merges them in chain order) — and a **slow-job watchdog** counts jobs
+that blow a soft per-job deadline (``slow_job_s``) into
+``serve.slow_jobs`` with a ``slow_job`` trace event — the
+observability groundwork for admission control.  A
 :class:`~repro.serve.status.StatusWriter` (``--status-file``) gets an
 atomic heartbeat after every job and chain outcome.  None of this can
 change a result byte: telemetry is written on the side, never read
@@ -68,12 +70,7 @@ from ..core import (
 )
 from ..exec import fan_out
 from ..library import library_build_stats
-from ..obs import (
-    MetricsRegistry,
-    StatsRegistry,
-    Tracer,
-    write_congestion_artifacts,
-)
+from ..obs import StatsRegistry, Tracer, write_congestion_artifacts
 from ..place import Floorplan
 from .caches import (
     CacheBounds,
@@ -147,7 +144,7 @@ class ServeEngine:
             self.caches = SessionCaches(config.library, bounds=bounds,
                                         persist=persist)
         self.results: List[JobResult] = []
-        self.metrics = MetricsRegistry()
+        self.metrics = StatsRegistry()
         self.slow_jobs = 0
         self._t_jobs: List[dict] = []
         self._work = {key: 0 for key in _POINT_WORK_KEYS}
@@ -327,8 +324,7 @@ class ServeEngine:
                 self._work[key] = self._work.get(key, 0) + int(value)
             # Chain outcomes arrive in chain-index order (ordered
             # streaming), so this merge order is deterministic.
-            self.metrics.merge(MetricsRegistry.from_snapshot(
-                outcome.metrics))
+            self.metrics.merge(outcome.metrics)
             self.slow_jobs += outcome.slow_jobs
             timings.extend(outcome.per_job)
             for index, result in outcome.results:
@@ -439,17 +435,17 @@ class ServeEngine:
             "serve_workers": self.serve_workers,
             "cache": cache,
             "cache_hit_rates": rates,
-            "instruments": self.metrics.snapshot(),
+            "instruments": {key: inst.snapshot() for key, inst
+                            in self.metrics.instruments().items()},
             "last_job": dict(last) if last else None,
         }
 
     def metrics_stats(self) -> StatsRegistry:
-        """The countable telemetry as one ``serve.*`` stats registry.
+        """The session's telemetry as one ``serve.*`` stats registry.
 
-        The session-cache counters (via :func:`counters_to_stats`)
-        plus the job tallies and the watchdog counter — the numeric
-        half of the ``--metrics-out`` export; the distribution half is
-        :attr:`metrics`.
+        The session-cache counters (via :func:`counters_to_stats`),
+        the job tallies and the watchdog counter, then the instruments
+        of :attr:`metrics` — everything ``--metrics-out`` renders.
         """
         registry = counters_to_stats(self.cache_counters())
         registry.work("serve.jobs_done", len(self.results))
@@ -458,6 +454,7 @@ class ServeEngine:
         registry.work("serve.slow_jobs", self.slow_jobs)
         registry.env("serve.serve_workers", self.serve_workers)
         registry.env("serve.workers", self.workers)
+        registry.absorb(self.metrics)
         return registry
 
     def summary(self) -> dict:

@@ -12,9 +12,12 @@ object per line::
      "tolerance": 6, "strategy": "bisect"}
 
 ``source`` is a BLIF path or a ``name@scale`` benchmark (exactly the
-CLI's positional); ``rows`` sizes the die (0 = the CLI's default
-utilization-derived die); ``workers`` overrides the engine's default
-per-job fan-out.  Unknown fields are rejected so typos fail loudly.
+CLI's positional); ``rows`` sizes the die (0 = the engine's ``--rows``,
+and failing that the utilization-derived die); ``workers`` overrides
+the engine's default per-job fan-out; ``strategy`` is the ``ksearch``
+search strategy.  Unknown fields, booleans where numbers belong and
+values a job could only fail on at run time are rejected at parse
+time, so typos fail loudly before any job runs.
 
 A :class:`JobResult` is the corresponding output line.  It carries
 **only deterministic fields** — the evaluated rows (``EvalPoint.row()``
@@ -32,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..core.ksearch import STRATEGIES
 from ..errors import ReproError
 
 __all__ = ["Job", "JobError", "JobResult", "JOB_COMMANDS", "parse_job",
@@ -46,6 +50,11 @@ _KNOWN_FIELDS = frozenset(
 
 class JobError(ReproError):
     """A malformed job line (bad JSON, unknown command, bad field)."""
+
+
+def _is_int(value: Any) -> bool:
+    """An integer, where JSON ``true``/``false`` do not count as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -98,29 +107,37 @@ def parse_job(data: Dict[str, Any], index: int = 0) -> Job:
     if not isinstance(source, str) or not source:
         raise JobError(f"job {index}: missing source")
     rows = data.get("rows", 0)
-    if not isinstance(rows, int) or rows < 0:
+    if not _is_int(rows) or rows < 0:
         raise JobError(f"job {index}: rows must be a non-negative int")
     k = data.get("k")
     if k is not None:
-        try:
-            k = tuple(float(x) for x in k)
-        except (TypeError, ValueError):
-            raise JobError(f"job {index}: k must be a list of numbers") \
-                from None
+        if not isinstance(k, list) or not all(
+                _is_int(x) or isinstance(x, float) for x in k):
+            raise JobError(f"job {index}: k must be a list of numbers")
         if not k:
             raise JobError(f"job {index}: k must be non-empty when given")
-        if not all(math.isfinite(x) for x in k):
-            raise JobError(f"job {index}: k must be finite numbers")
+        bad_k = JobError(f"job {index}: k must be finite numbers >= 0")
+        try:
+            k = tuple(float(x) for x in k)
+        except OverflowError:  # an integer beyond the float range
+            raise bad_k from None
+        if not all(math.isfinite(x) and x >= 0 for x in k):
+            raise bad_k
     tolerance = data.get("tolerance", 0)
-    if not isinstance(tolerance, int) or tolerance < 0:
+    if not _is_int(tolerance) or tolerance < 0:
         raise JobError(f"job {index}: tolerance must be a non-negative int")
     strategy = data.get("strategy", "bisect")
+    if "strategy" in data and cmd != "ksearch":
+        raise JobError(f"job {index}: strategy is for ksearch jobs only")
+    if strategy not in STRATEGIES:
+        raise JobError(f"job {index}: strategy must be one of "
+                       f"{STRATEGIES}, got {strategy!r}")
     workers = data.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
+    if workers is not None and (not _is_int(workers) or workers < 1):
         raise JobError(f"job {index}: workers must be a positive int")
     job_id = data.get("id", f"job{index}")
     return Job(id=str(job_id), cmd=cmd, source=source, rows=rows, k=k,
-               tolerance=tolerance, strategy=str(strategy), workers=workers)
+               tolerance=tolerance, strategy=strategy, workers=workers)
 
 
 def parse_jobs(lines: Iterable[str]) -> List[Job]:
@@ -140,6 +157,9 @@ def parse_jobs(lines: Iterable[str]) -> List[Job]:
         except json.JSONDecodeError as exc:
             raise JobError(f"line {lineno}: invalid JSON ({exc.msg})") \
                 from None
+        except RecursionError:
+            raise JobError(f"line {lineno}: invalid JSON (nested too "
+                           "deeply)") from None
         job = parse_job(data, index=len(jobs) + 1)
         if job.id in seen:
             raise JobError(f"line {lineno}: duplicate job id {job.id!r}")

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..obs.registry import StatsRegistry
 from ..obs.tracer import Span, Tracer
 from .jobs import Job, JobResult
 
@@ -93,8 +94,7 @@ class ChainOutcome:
                  results: List[Tuple[int, JobResult]],
                  counters: Dict[str, int], per_job: List[dict],
                  work: Dict[str, int], span: Optional[Span],
-                 metrics: Optional[Dict[str, Any]] = None,
-                 slow_jobs: int = 0):  # noqa: D107
+                 metrics: StatsRegistry, slow_jobs: int):  # noqa: D107
         self.chain_index = chain_index
         #: (submission index, result) pairs, in chain (= submission) order.
         self.results = results
@@ -102,8 +102,8 @@ class ChainOutcome:
         self.per_job = per_job
         self.work = work
         self.span = span
-        #: ``MetricsRegistry.snapshot()`` of the chain's instruments.
-        self.metrics = metrics if metrics is not None else {}
+        #: The chain engine's instruments (its ``metrics`` registry).
+        self.metrics = metrics
         self.slow_jobs = slow_jobs
 
 
@@ -117,7 +117,8 @@ def run_chain(payload: Any, task: Tuple[int, Tuple[Tuple[int, Job], ...]]
     pairs.  The chain gets a private single-threaded engine over
     chain-local caches; its trace (when the parent traces) comes back
     as a detached span for :meth:`repro.obs.tracer.Tracer.adopt`, its
-    instruments as a metrics snapshot the engine merges in chain order.
+    instruments as the registry itself, which the engine merges in
+    chain order.
     """
     from .engine import ServeEngine
 
@@ -139,5 +140,5 @@ def run_chain(payload: Any, task: Tuple[int, Tuple[Tuple[int, Job], ...]]
         [dict(entry) for entry in engine.summary()["per_job"]],
         dict(engine.work_counters()),
         span,
-        metrics=engine.metrics.snapshot(),
+        metrics=engine.metrics,
         slow_jobs=engine.slow_jobs)

@@ -31,7 +31,7 @@ Heartbeat schema (``schema_version`` 1)::
       "slow_jobs": 0,                  # soft-deadline watchdog trips
       "cache": {...},                  # SessionCaches counters
       "cache_hit_rates": {...},        # per family, 0..1
-      "instruments": {...},            # MetricsRegistry.snapshot()
+      "instruments": {...},            # {key: instrument.snapshot()}
       "last_job": {"id": ..., "cmd": ..., "ok": ..., "t_s": ...}
     }
 

@@ -117,6 +117,23 @@ class TestServeCommand:
         assert [(line["id"], line["ok"]) for line in lines] == \
             [("chain", True), ("ok", True)]
 
+    def test_rows_flag_sizes_jobs_without_rows(self, tmp_path):
+        """``--rows`` is the die of every job that leaves ``rows`` 0."""
+        job = {"id": "a", "cmd": "ksweep", "source": "spla@0.01",
+               "k": [0.0]}
+        kept = {"id": "b", "cmd": "ksweep", "source": "spla@0.01",
+                "rows": 12, "k": [0.0]}
+        outs = []
+        for tag, first, extra in (("flag", job, ["--rows", "16"]),
+                                  ("explicit", dict(job, rows=16), [])):
+            jobs = tmp_path / f"{tag}.jsonl"
+            jobs.write_text(json.dumps(first) + "\n" + json.dumps(kept)
+                            + "\n")
+            out = tmp_path / f"{tag}.out"
+            assert main(["serve", str(jobs), "-o", str(out)] + extra) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_trace_emission(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.jsonl"
         jobs.write_text(JOBS)
@@ -204,6 +221,38 @@ class TestServeTelemetry:
         doc = json.loads((tmp_path / "metrics.prom.json").read_text())
         assert doc["counters"]["serve.jobs_done"] == 4
         assert doc["instruments"]["serve.job_seconds"]["count"] == 4
+
+    @pytest.mark.parametrize("serve_workers", ["1", "2"])
+    def test_renderers_agree(self, tmp_path, capsys, serve_workers):
+        """``--profile``, the heartbeat and ``--metrics-out`` render one
+        registry: every ``serve.*`` counter the profile prints is in the
+        Prometheus text with the same value, and every heartbeat
+        instrument is a Prometheus family of its type."""
+        from repro.obs import parse_prometheus
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(JOBS)
+        status = tmp_path / "status.json"
+        metrics = tmp_path / "metrics.prom"
+        rc = main(["serve", str(jobs), "-o", str(tmp_path / "out.jsonl"),
+                   "--serve-workers", serve_workers, "--profile",
+                   "--metrics-out", str(metrics),
+                   "--status-file", str(status)])
+        assert rc == 0
+        families = parse_prometheus(metrics.read_text())
+        rows = [[cell.strip() for cell in line.split("|")]
+                for line in capsys.readouterr().out.splitlines()
+                if line.strip().startswith("serve.")]
+        assert len(rows) == 22
+        for key, _kind, value in rows:
+            name = "repro_" + key.replace(".", "_")
+            assert families[name]["samples"][name] == \
+                pytest.approx(float(value), rel=1e-5), key
+        instruments = json.loads(status.read_text())["instruments"]
+        assert len(instruments) == 7
+        prom_type = {"hist": "histogram", "rolling": "gauge"}
+        for key, snapshot in instruments.items():
+            name = "repro_" + key.replace(".", "_")
+            assert families[name]["type"] == prom_type[snapshot["kind"]]
 
     def test_follow_subcommand_drains_results(self, tmp_path, capsys):
         self._run(tmp_path, "follow", [])

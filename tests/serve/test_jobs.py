@@ -1,10 +1,20 @@
 """Tests for the serve job/result model (JSONL parsing + validation)."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.serve import Job, JobError, JobResult, parse_job, parse_jobs
+from repro.core.ksearch import STRATEGIES
+from repro.serve import (
+    JOB_COMMANDS,
+    Job,
+    JobError,
+    JobResult,
+    parse_job,
+    parse_jobs,
+)
 
 
 class TestParseJob:
@@ -37,18 +47,35 @@ class TestParseJob:
             parse_job({"cmd": "flow"})
 
     def test_bad_rows(self):
-        with pytest.raises(JobError, match="rows"):
-            parse_job({"cmd": "flow", "source": "s", "rows": -1})
+        for field, value in (("rows", -1), ("rows", True), ("rows", 12.0),
+                             ("tolerance", -1), ("tolerance", False)):
+            with pytest.raises(JobError, match=field):
+                parse_job({"cmd": "flow", "source": "s", field: value})
 
     def test_bad_k(self):
-        with pytest.raises(JobError, match="k must be"):
-            parse_job({"cmd": "flow", "source": "s", "k": "0.5"})
+        """Strings and objects are not iterated into K values, booleans
+        are not numbers, and a K the flow would reject fails here."""
+        for k in ("0.5", "05", {"1": 0}, [True], [0.0, False], ["0.1"],
+                  [-0.001], [10 ** 400]):
+            with pytest.raises(JobError, match="k must be"):
+                parse_job({"cmd": "flow", "source": "s", "k": k})
         with pytest.raises(JobError, match="non-empty"):
             parse_job({"cmd": "flow", "source": "s", "k": []})
 
     def test_bad_workers(self):
-        with pytest.raises(JobError, match="workers"):
-            parse_job({"cmd": "flow", "source": "s", "workers": 0})
+        for workers in (0, True, 2.0):
+            with pytest.raises(JobError, match="workers"):
+                parse_job({"cmd": "flow", "source": "s",
+                           "workers": workers})
+
+    def test_bad_strategy(self):
+        """An unknown strategy, or one on a job that has no search,
+        is rejected instead of failing at run time or being dropped."""
+        for cmd, strategy in (("ksearch", "bisec"), ("ksearch", None),
+                              ("ksearch", ["grid"]), ("flow", "grid"),
+                              ("ksweep", "bisect")):
+            with pytest.raises(JobError, match="strategy"):
+                parse_job({"cmd": cmd, "source": "s", "strategy": strategy})
 
     def test_not_an_object(self):
         with pytest.raises(JobError, match="expected a JSON object"):
@@ -93,6 +120,59 @@ class TestParseJobs:
         with pytest.raises(JobError, match="finite"):
             parse_jobs(['{"cmd": "ksweep", "source": "s", '
                         f'"k": [0.0, {token}]}}'])
+
+    @pytest.mark.parametrize("line", ["[" * 1000,
+                                      "[" * 100000 + "]" * 100000])
+    def test_deep_nesting_is_a_job_error(self, line):
+        with pytest.raises(JobError, match="line 2: invalid JSON"):
+            parse_jobs(['{"cmd": "flow", "source": "s"}', line])
+
+
+#: JSON values of every type, nested a little.
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+#: Each optional field: a valid value or any JSON value.
+_FIELDS = {
+    "id": st.text(max_size=6) | _ANY_JSON,
+    "rows": st.integers(0, 40) | _ANY_JSON,
+    "k": st.lists(st.floats(0.0, 1.0) | st.integers(0, 2),
+                  min_size=1, max_size=3) | _ANY_JSON,
+    "tolerance": st.integers(0, 9) | _ANY_JSON,
+    "strategy": st.sampled_from(STRATEGIES) | _ANY_JSON,
+    "workers": st.integers(1, 4) | _ANY_JSON,
+}
+
+#: Job objects: a valid command and source with mixed optional fields
+#: (so that many parse), or every known field mixed.
+_JOB_OBJECTS = st.fixed_dictionaries(
+    {"cmd": st.sampled_from(JOB_COMMANDS), "source": st.just("spla@0.01")},
+    optional=_FIELDS) | st.fixed_dictionaries({}, optional=dict(
+        _FIELDS, cmd=_ANY_JSON, source=_ANY_JSON))
+
+
+class TestParseJobProperty:
+    @given(_JOB_OBJECTS)
+    @settings(max_examples=400, deadline=None)
+    def test_parse_job_returns_a_valid_job_or_raises_job_error(self, data):
+        try:
+            job = parse_job(data)
+        except JobError:
+            return
+        assert isinstance(job, Job)
+        assert type(job.rows) is int and job.rows >= 0
+        assert type(job.tolerance) is int and job.tolerance >= 0
+        assert job.workers is None or \
+            (type(job.workers) is int and job.workers >= 1)
+        assert job.k is None or (job.k and all(
+            type(x) is float and math.isfinite(x) and x >= 0
+            for x in job.k))
+        assert job.strategy in STRATEGIES
+        assert parse_job(job.to_dict()) == job
 
 
 class TestJobResult:
