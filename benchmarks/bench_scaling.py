@@ -48,10 +48,11 @@ SWEEP_K = [0.0, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.5]
 #: measuring a container's timer.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-#: Full-run acceptance: the vectorized router must beat the per-edge
-#: reference (the PR-2-era routing style) by this factor at the
-#: largest scale.
-ROUTING_SPEEDUP_FLOOR = 3.0
+#: Full-run acceptance: the router, whose rip-up kernels run on flat
+#: Python lists, must beat the per-edge reference by this factor at
+#: the largest scale (10.3x and 14.2x measured, best of 3, on a
+#: 2-vCPU Intel Xeon VM).
+ROUTING_SPEEDUP_FLOOR = 8.0
 
 _cache = {}
 
@@ -202,10 +203,11 @@ def test_sweep_execution_layer(benchmark, config):
 def run_routing_engines(config):
     """Route identical placed netlists through the router and its twin.
 
-    :func:`route_reference` evaluates every edge in Python, the way the
-    router worked before vectorization — it is both the correctness
-    oracle (results must match exactly) and the speedup baseline.  Both
-    legs build a fresh grid per run, as :meth:`GlobalRouter.route` does.
+    :func:`route_reference` reads and writes the grid's numpy planes one
+    edge at a time, prices every L/Z candidate in full and runs each
+    maze Dijkstra to exhaustion — it is both the correctness oracle
+    (results must match exactly) and the speedup baseline.  Both legs
+    build a fresh grid per run, as :meth:`GlobalRouter.route` does.
     """
     scales = SCALES[:1] if SMOKE else SCALES
     rows = []
@@ -213,7 +215,7 @@ def run_routing_engines(config):
         base = decompose(spla_like(scale))
         # A deliberately tight die (30 rows at full scale, shrunk with
         # sqrt(scale)): the router must negotiate hard for tracks,
-        # which is exactly the phase the vectorization targets.
+        # which is exactly the phase its rip-up kernels speed up.
         die_rows = max(10, round(30 * (scale / 0.125) ** 0.5))
         floorplan = Floorplan.from_rows(die_rows, aspect=1.0)
         positions = place_base_network(base, floorplan, seed=config.seed)
@@ -269,18 +271,18 @@ def run_routing_engines(config):
 
 
 def test_routing_engines(benchmark, config):
-    """Vectorized routing speedup over the per-edge reference path."""
+    """Router speedup over the per-edge reference path."""
     rows = benchmark.pedantic(run_routing_engines, args=(config,),
                               rounds=1, iterations=1)
     table = format_table(
-        ["scale", "nets", "violations", "iters", "vector (s)",
+        ["scale", "nets", "violations", "iters", "router (s)",
          "init/negotiate (s)", "reference (s)", "speedup"],
         [(f"{r['scale']:g}", r["nets"], r["violations"], r["iterations"],
           f"{r['t_vector']:.3f}",
           f"{r['t_init_route']:.3f}/{r['t_negotiate']:.3f}",
           f"{r['t_reference']:.3f}", f"{r['speedup']:.1f}x")
          for r in rows],
-        title="Global routing - vectorized vs per-edge reference "
+        title="Global routing - router vs per-edge reference "
               f"({'smoke' if SMOKE else 'full'} mode; identical results "
               "asserted per scale)")
     publish("routing_engines", table)
@@ -296,6 +298,6 @@ def test_routing_engines(benchmark, config):
     if not SMOKE:
         largest = rows[-1]
         assert largest["speedup"] >= ROUTING_SPEEDUP_FLOOR, \
-            (f"vectorized router only {largest['speedup']:.1f}x over the "
+            (f"router only {largest['speedup']:.1f}x over the "
              f"reference at scale {largest['scale']:g} "
              f"(floor {ROUTING_SPEEDUP_FLOOR:.0f}x)")

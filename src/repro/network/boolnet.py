@@ -45,7 +45,7 @@ class BooleanNetwork:
 
     * every fanin name of every node is a primary input or another node,
     * the node graph is acyclic (checked by :meth:`topological_order`),
-    * primary outputs refer to existing signals.
+    * primary outputs are distinct and refer to existing signals.
     """
 
     def __init__(self, name: str = "network"):  # noqa: D107
@@ -192,6 +192,11 @@ class BooleanNetwork:
         inputs = self._input_set()
         if len(inputs) != len(self.inputs):
             raise NetworkError("duplicate primary input names")
+        seen: Set[str] = set()
+        for output in self.outputs:
+            if output in seen:
+                raise NetworkError(f"duplicate primary output {output!r}")
+            seen.add(output)
         for node in self.nodes.values():
             for fanin in node.fanin_names:
                 if fanin not in inputs and fanin not in self.nodes:

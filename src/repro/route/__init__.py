@@ -10,7 +10,7 @@ from .router import (
     RoutingResult,
     victim_order,
 )
-from .steiner import gcell_signature, hpwl_of_points, manhattan, mst_segments
+from .steiner import gcell_signature, manhattan, mst_segments
 
 __all__ = [
     "CongestionStats",
@@ -25,7 +25,6 @@ __all__ = [
     "VERTICAL",
     "congestion_stats",
     "gcell_signature",
-    "hpwl_of_points",
     "l_route_edges",
     "manhattan",
     "maze_route",

@@ -66,8 +66,10 @@ class RoutingGrid:
     Every edge also has a **flat id**: horizontal edge (ex, ey) maps to
     ``ex * ny + ey`` and vertical edge (ex, ey) to
     ``num_h_edges + ex * (ny - 1) + ey``.  ``demand``/``history`` are
-    C-order views of the flat arrays, so per-edge tuple code and the
-    vectorized engine share one set of books.
+    C-order views of the flat arrays, so per-edge tuple code and
+    flat-id code share one set of books.  (The router copies the flat
+    books into Python lists while it negotiates and writes demand back
+    before every whole-grid step.)
     """
 
     def __init__(self, floorplan: Floorplan, resources: RoutingResources,
@@ -171,10 +173,6 @@ class RoutingGrid:
         direction = np.where(horizontal, HORIZONTAL, VERTICAL)
         return list(zip(direction.tolist(), ex.tolist(), ey.tolist()))
 
-    def add_demand_ids(self, ids: np.ndarray, amount: int = 1) -> None:
-        """Adjust demand on a flat-id array (ids may repeat)."""
-        np.add.at(self.demand_flat, ids, amount)
-
     def add_demand(self, edges: Iterable[Tuple[int, int, int]],
                    amount: int = 1) -> None:
         """Adjust demand on a set of edges."""
@@ -189,10 +187,6 @@ class RoutingGrid:
         """Worst single-edge overflow."""
         over = self.demand_flat - self.capacity_flat
         return int(max(over.max(initial=0), 0))
-
-    def overflowed_edge_ids(self) -> np.ndarray:
-        """Flat ids (ascending) of edges whose demand exceeds capacity."""
-        return np.nonzero(self.demand_flat > self.capacity_flat)[0]
 
     def overflowed_edges(self) -> List[Tuple[int, int, int]]:
         """All edges whose demand exceeds capacity."""

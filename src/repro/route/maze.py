@@ -6,21 +6,22 @@ accumulated history, which is the negotiation mechanism that lets the
 rip-up-and-reroute loop converge on routable designs and expose true
 overflow on unroutable ones.
 
-The search is split into two phases so the two router engines can share
-exact decisions:
+The search is split into two phases so the router and its reference
+twin take the same decisions:
 
-1. a **distance field** over the search window — per-edge Dijkstra here
-   (the reference engine's rendition), vectorized sweep relaxation in
-   :mod:`repro.route.router` — and
-2. a **canonical backtrack** (:func:`backtrack_path`) that walks from
-   the target to the source choosing, at every step, the first neighbor
-   in a fixed scan order whose distance plus edge cost equals the
-   current cell's distance.
+1. a **distance field** over the search window — Dijkstra in both: run
+   to exhaustion over GCell tuples here (the reference engine's
+   rendition), stopped once the target settles over flat cell ids in
+   :func:`repro.route.router._maze` — and
+2. a **canonical backtrack** (:func:`backtrack_path`, mirrored on flat
+   ids by the router) that walks from the target to the source
+   choosing, at every step, the first neighbor in a fixed scan order
+   whose distance plus edge cost equals the current cell's distance.
 
 Because every edge cost is an exactly-representable float64 (unit base,
-integer history, penalty x integer overflow), both engines compute
-bit-identical distance fields, and the shared backtrack then yields
-bit-identical paths.
+integer history, penalty x integer overflow), both searches assign the
+same distance to every cell the backtrack can step on, and the shared
+scan order then yields bit-identical paths.
 """
 
 from __future__ import annotations

@@ -1,18 +1,21 @@
 """Per-edge reference implementation of the global-routing algorithm.
 
-This is the pure-Python rendition of the exact algorithm the vectorized
-engine in :mod:`repro.route.router` runs: best-of-two-L initial
-routing, segment-level incremental rip-up under the seeded victim
-ordering, overflow-free L/Z pattern rerouting with maze fallback.  It
-exists as the **equivalence oracle**: property tests assert both
-engines report identical violations, overflowed-net counts and
-wirelength, and the routing micro-bench measures the vectorized
-engine's speedup against this path.
+This is the tuple-and-array rendition of the exact algorithm the
+router in :mod:`repro.route.router` runs on flat Python lists:
+best-of-two-L initial routing, segment-level incremental rip-up under
+the seeded victim ordering, overflow-free L/Z pattern rerouting with
+maze fallback.  It reads and writes the grid's 2-D demand and history
+planes one edge at a time, costs every L/Z candidate in full and runs
+the maze Dijkstra to exhaustion (:func:`repro.route.maze.maze_route`).
+It exists as the **equivalence oracle**: property tests assert both
+engines report identical routes, violations, overflowed-net counts and
+wirelength, and the routing micro-bench measures the router's speedup
+against this path.
 
 Every cost it computes is a sum of exactly-representable float64
-values in a different order than the vectorized engine's prefix sums;
-exactness is what makes the two engines take bit-identical decisions
-(see the router module docstring).
+values in a different order than the router's prefix sums; exactness
+is what makes the two engines take bit-identical decisions (see the
+router module docstring).
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def _best_pattern_reference(grid: RoutingGrid, a: GCell, b: GCell,
                             penalty: float) -> Optional[List[Edge]]:
     """Cheapest overflow-free L/Z pattern, scanned per edge.
 
-    Candidate order matches the vectorized engine exactly: HVH with the
+    Candidate order matches the router's scan exactly: HVH with the
     vertical run at each column (ascending), then VHV with the
     horizontal run at each row (ascending); first strict minimum wins.
     """
@@ -128,7 +131,7 @@ def route_reference(router, grid: RoutingGrid,
     """Route all nets edge by edge.
 
     Same signature and result as
-    :meth:`repro.route.router.GlobalRouter._route_vector` (``router`` is
+    :meth:`repro.route.router.GlobalRouter._route` (``router`` is
     the :class:`~repro.route.router.GlobalRouter` whose seed and
     iteration budget apply).
     """

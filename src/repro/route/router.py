@@ -8,12 +8,17 @@ survives the final round is reported as **routing violations** — the
 proxy for the paper's detailed-routing violation counts (zero overflow
 ⇒ routable; see DESIGN.md on this substitution).
 
-Routes are flat numpy edge-id arrays; demand accumulation, victim
-selection and L/Z candidate costing are array operations.  Rip-up is
-*incremental*: only segments crossing an overflowed edge are ripped,
-and each is first offered the cheapest overflow-free L/Z pattern
-(vectorized gathers) before paying for a maze search.  The per-edge
-pure-Python rendition of the identical algorithm,
+Rip-up is *incremental*: only segments crossing an overflowed edge are
+ripped, and each is first offered the cheapest overflow-free L/Z
+pattern (:func:`_best_pattern`) before paying for a maze search
+(:func:`_maze`).  Inside one :meth:`GlobalRouter.route` call demand and
+history live in flat Python lists indexed by edge id, and every segment
+is a list of flat edge ids: on the 7x7 to 42x42 GCell grids the flows
+route, a victim's pattern scan or maze search touches a few dozen
+edges, where a numpy call costs more than the arithmetic it would
+batch.  Numpy keeps the whole-grid steps that run once per negotiation
+round (overflow total, overflow mask, history bump, victim gather).
+The per-edge rendition of the identical algorithm,
 :func:`repro.route.reference.route_reference`, is kept as the
 equivalence oracle: tests assert both produce the same routes,
 violations, overflowed-net counts and wirelength.
@@ -37,22 +42,18 @@ uses so adjacent K points stop paying full routing cost.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs import StatsRegistry
 from ..place.floorplan import Floorplan
-from .grid import GCell, HORIZONTAL, RoutingGrid, RoutingResources, VERTICAL
-from .maze import (
-    BBOX_MARGIN,
-    backtrack_path,
-    l_fallback,
-    maze_window,
-    window_contains,
-)
+from .grid import GCell, RoutingGrid, RoutingResources
+from .maze import BBOX_MARGIN, maze_window
 from .steiner import gcell_signature, mst_segments
 
 Point = Tuple[float, float]
@@ -139,12 +140,11 @@ class RouteCache:
     def clone(self) -> "RouteCache":
         """An independent cache holding the same snapshot.
 
-        The per-segment edge-id arrays are shared (routers never mutate
-        them in place — rerouting rebinds a fresh array), but the
-        containers are copied, so a clone can be stored into without
-        affecting its source.  This is what gives every task of a
-        parallel sweep round its own warm-start shard seeded from the
-        round's opening snapshot.
+        The per-segment edge-id arrays are shared (routers only read
+        them, into fresh lists), but the containers are copied, so a
+        clone can be stored into without affecting its source.  This is
+        what gives every task of a parallel sweep round its own
+        warm-start shard seeded from the round's opening snapshot.
         """
         out = RouteCache()
         out.grid_key = self.grid_key
@@ -232,23 +232,22 @@ class GlobalRouter:
         warm = cache.warm_routes(grid) if cache is not None else {}
         reuse_skipped = int(cache is not None and bool(cache.routes)
                             and not warm)
-        result = self._route_vector(grid, net_points, warm)
+        result = self._route(grid, net_points, warm)
         result.stats.work("route.reuse_skipped", reuse_skipped)
         return result
 
-    def _route_vector(self, grid: RoutingGrid,
-                      net_points: Dict[str, List[Point]],
-                      warm: Dict[Signature, List[np.ndarray]]
-                      ) -> RoutingResult:
+    def _route(self, grid: RoutingGrid,
+               net_points: Dict[str, List[Point]],
+               warm: Dict[Signature, List[np.ndarray]]) -> RoutingResult:
         t0 = time.perf_counter()
         names = sorted(net_points)
         routes: Dict[str, NetRoute] = {}
         seg_net: List[int] = []            # owning-net index per segment
         seg_pins: List[Tuple[GCell, GCell]] = []
-        seg_ids: List[np.ndarray] = []     # committed edge ids per segment
+        seg_ids: List[List[int]] = []      # committed edge ids per segment
         net_first: List[int] = []          # first segment index per net
         routes_reused = 0
-        demand_flat = grid.demand_flat
+        demand = grid.demand_flat.tolist()
         for i, name in enumerate(names):
             pins = [grid.gcell_of(p) for p in net_points[name]]
             signature = gcell_signature(pins)
@@ -261,8 +260,10 @@ class GlobalRouter:
             if reuse:
                 routes_reused += 1
             for j, (a, b) in enumerate(segments):
-                ids = cached[j] if reuse else _best_l_ids(grid, a, b)
-                demand_flat[ids] += 1
+                ids = (cached[j].tolist() if reuse
+                       else _best_l(grid, demand, a, b))
+                for e in ids:
+                    demand[e] += 1
                 seg_net.append(i)
                 seg_pins.append((a, b))
                 seg_ids.append(ids)
@@ -271,14 +272,15 @@ class GlobalRouter:
 
         t0 = time.perf_counter()
         rng = np.random.default_rng(self.seed)
+        demand_flat = grid.demand_flat
         nseg = len(seg_ids)
-        seg_net_arr = np.asarray(seg_net, dtype=np.int64)
         iterations = 0
         plateau = 0
         previous = None
         rerouted_nets: set = set()
         segments_rerouted = 0
         for iteration in range(self.max_iterations):
+            demand_flat[:] = demand
             violations = grid.overflow_total()
             if violations == 0:
                 break
@@ -296,51 +298,45 @@ class GlobalRouter:
             grid.history_flat[over_mask] += 1.0
             if nseg == 0:
                 break
-            lens = np.fromiter((len(ids) for ids in seg_ids),
-                               dtype=np.int64, count=nseg)
-            all_ids = (np.concatenate(seg_ids) if lens.sum()
-                       else np.empty(0, dtype=np.int64))
+            history = grid.history_flat.tolist()
+            lens, all_ids = _flatten(seg_ids)
             seg_of = np.repeat(np.arange(nseg), lens)
             victims = np.unique(seg_of[over_mask[all_ids]])
             if victims.size == 0:
                 break
             order = victims[victim_order(victims.size, rng)]
             penalty = PENALTY_STEP * (iteration + 1)
-            for s in order:
-                s = int(s)
-                ids = seg_ids[s]
-                demand_flat[ids] -= 1
+            for s in order.tolist():
+                for e in seg_ids[s]:
+                    demand[e] -= 1
                 a, b = seg_pins[s]
-                new_ids = _best_pattern_ids(grid, a, b, penalty)
+                new_ids = _best_pattern(grid, demand, history, a, b)
                 if new_ids is None:
-                    new_ids = _maze_ids(grid, a, b, penalty)
-                demand_flat[new_ids] += 1
+                    new_ids = _maze(grid, demand, history, a, b, penalty)
+                for e in new_ids:
+                    demand[e] += 1
                 seg_ids[s] = new_ids
                 segments_rerouted += 1
                 rerouted_nets.add(seg_net[s])
+        demand_flat[:] = demand
         t_negotiate = time.perf_counter() - t0
 
         violations = grid.overflow_total()
         over_mask = demand_flat > grid.capacity_flat
-        if nseg:
-            lens = np.fromiter((len(ids) for ids in seg_ids),
-                               dtype=np.int64, count=nseg)
-            all_ids = (np.concatenate(seg_ids) if lens.sum()
-                       else np.empty(0, dtype=np.int64))
-            edge_net = np.repeat(seg_net_arr, lens)
-            overflowed_nets = int(
-                np.unique(edge_net[over_mask[all_ids]]).size)
-            h_edges = int((all_ids < grid.num_h_edges).sum())
-            total_wl = h_edges * grid.gw + (all_ids.size - h_edges) * grid.gh
-        else:
-            overflowed_nets = 0
-            total_wl = 0.0
+        lens, all_ids = _flatten(seg_ids)
+        edge_net = np.repeat(np.asarray(seg_net, dtype=np.int64), lens)
+        overflowed_nets = int(np.unique(edge_net[over_mask[all_ids]]).size)
+        h_edges = int((all_ids < grid.num_h_edges).sum())
+        total_wl = h_edges * grid.gw + (all_ids.size - h_edges) * grid.gh
+        # One decode for every segment; nets and segments take slices.
+        edges = grid.decode_edge_ids(all_ids)
+        offsets = [0, *accumulate(lens)]
         for i, name in enumerate(names):
+            first, last = net_first[i], net_first[i + 1]
             route = routes[name]
-            route.seg_edge_ids = seg_ids[net_first[i]:net_first[i + 1]]
-            route.edges = (
-                grid.decode_edge_ids(np.concatenate(route.seg_edge_ids))
-                if route.seg_edge_ids else [])
+            route.seg_edge_ids = [all_ids[offsets[s]:offsets[s + 1]]
+                                  for s in range(first, last)]
+            route.edges = edges[offsets[first]:offsets[last]]
         stats = _router_stats(t_init, t_negotiate, len(rerouted_nets),
                               segments_rerouted, routes_reused, iterations,
                               violations, overflowed_nets, total_wl)
@@ -349,230 +345,231 @@ class GlobalRouter:
                              iterations=iterations,
                              total_wirelength=total_wl, stats=stats)
 
-    @staticmethod
-    def _best_l(grid: RoutingGrid, a: GCell, b: GCell) -> List[Edge]:
-        """The L-shape with lower present congestion (edge tuples)."""
-        return grid.decode_edge_ids(_best_l_ids(grid, a, b))
+
+# -- scalar kernels over flat edge ids ---------------------------------
 
 
-# -- vectorized candidate generation -----------------------------------
+def _flatten(seg_ids: List[List[int]]) -> Tuple[List[int], np.ndarray]:
+    """(per-segment lengths, concatenated ids) of the segment id lists."""
+    lens = [len(ids) for ids in seg_ids]
+    return lens, np.fromiter(chain.from_iterable(seg_ids), dtype=np.int64,
+                             count=sum(lens))
 
 
-def _h_run_ids(grid: RoutingGrid, x_lo: int, x_hi: int, y: int) -> np.ndarray:
+def _h_run(grid: RoutingGrid, x_lo: int, x_hi: int, y: int) -> range:
     """Ids of the horizontal edges spanning columns [x_lo, x_hi) at row y."""
-    return np.arange(x_lo, x_hi, dtype=np.int64) * grid.ny + y
+    return range(x_lo * grid.ny + y, x_hi * grid.ny + y, grid.ny)
 
 
-def _v_run_ids(grid: RoutingGrid, x: int, y_lo: int, y_hi: int) -> np.ndarray:
+def _v_run(grid: RoutingGrid, x: int, y_lo: int, y_hi: int) -> range:
     """Ids of the vertical edges spanning rows [y_lo, y_hi) at column x."""
-    return (grid.num_h_edges + x * (grid.ny - 1)
-            + np.arange(y_lo, y_hi, dtype=np.int64))
+    base = grid.num_h_edges + x * (grid.ny - 1)
+    return range(base + y_lo, base + y_hi)
 
 
-def _best_l_ids(grid: RoutingGrid, a: GCell, b: GCell) -> np.ndarray:
+def _best_l(grid: RoutingGrid, demand: List[int],
+            a: GCell, b: GCell) -> List[int]:
     """The cheaper L-shape between two GCells, as flat edge ids.
 
     Load of a candidate = (Σ demand over its horizontal edges) / hcap +
     (Σ demand over its vertical edges) / vcap — the same quantity the
-    reference engine computes from per-edge sums, exact in float64.
-    Ties keep the horizontal-first L.
+    reference engine computes edge by edge (integer sums, one division
+    each).  Ties keep the horizontal-first L.
     """
     (ax, ay), (bx, by) = a, b
     x_lo, x_hi = min(ax, bx), max(ax, bx)
     y_lo, y_hi = min(ay, by), max(ay, by)
     if ay == by:                       # straight (or empty) horizontal
-        return _h_run_ids(grid, x_lo, x_hi, ay)
+        return list(_h_run(grid, x_lo, x_hi, ay))
     if ax == bx:                       # straight vertical
-        return _v_run_ids(grid, ax, y_lo, y_hi)
-    # Loads come from strided 2-D demand slices — no index arrays are
-    # materialised for the losing candidate (int32 sums promote to
-    # int64, so the totals equal the flat-gather formulation exactly).
-    dh = grid.demand[HORIZONTAL]
-    dv = grid.demand[VERTICAL]
-    load_h = (int(dh[x_lo:x_hi, ay].sum()) / grid.hcap
-              + int(dv[bx, y_lo:y_hi].sum()) / grid.vcap)
-    load_v = (int(dh[x_lo:x_hi, by].sum()) / grid.hcap
-              + int(dv[ax, y_lo:y_hi].sum()) / grid.vcap)
+        return list(_v_run(grid, ax, y_lo, y_hi))
+    at = demand.__getitem__
+    row_a, col_b = _h_run(grid, x_lo, x_hi, ay), _v_run(grid, bx, y_lo, y_hi)
+    col_a, row_b = _v_run(grid, ax, y_lo, y_hi), _h_run(grid, x_lo, x_hi, by)
+    load_h = sum(map(at, row_a)) / grid.hcap + sum(map(at, col_b)) / grid.vcap
+    load_v = sum(map(at, row_b)) / grid.hcap + sum(map(at, col_a)) / grid.vcap
     if load_h <= load_v:
-        return np.concatenate([_h_run_ids(grid, x_lo, x_hi, ay),
-                               _v_run_ids(grid, bx, y_lo, y_hi)])
-    return np.concatenate([_v_run_ids(grid, ax, y_lo, y_hi),
-                           _h_run_ids(grid, x_lo, x_hi, by)])
+        return [*row_a, *col_b]
+    return [*col_a, *row_b]
 
 
-def _maze_ids(grid: RoutingGrid, a: GCell, b: GCell,
-              penalty: float, margin: int = BBOX_MARGIN) -> np.ndarray:
-    """Vectorized maze search: flat ids of the cheapest window path.
-
-    Computes the same distance field as :func:`repro.route.maze
-    .maze_route`'s Dijkstra, but by directional sweep relaxation: each
-    pass relaxes every row left-to-right and right-to-left and every
-    column bottom-up and top-down with prefix-sum/cumulative-minimum
-    scans, repeated until the field stops changing.  A path with *k*
-    straight runs is fully relaxed after *k* passes, so the loop
-    terminates at the exact Dijkstra fixpoint (all summands are
-    exactly-representable float64 values).  The canonical backtrack
-    shared with the reference engine then yields the identical path.
-    """
-    if a == b:
-        return np.empty(0, dtype=np.int64)
-    window = maze_window(grid, a, b, margin)
-    if not (window_contains(window, a) and window_contains(window, b)):
-        return grid.edge_ids(l_fallback(grid, a, b, penalty))
-    x_lo, x_hi, y_lo, y_hi = window
-    w, h = x_hi - x_lo + 1, y_hi - y_lo + 1
-
-    dh = grid.demand[HORIZONTAL][x_lo:x_hi, y_lo:y_hi + 1]
-    wh = (1.0 + grid.history[HORIZONTAL][x_lo:x_hi, y_lo:y_hi + 1]
-          + penalty * np.maximum(dh.astype(np.int64) + 1 - grid.hcap, 0))
-    dv = grid.demand[VERTICAL][x_lo:x_hi + 1, y_lo:y_hi]
-    wv = (1.0 + grid.history[VERTICAL][x_lo:x_hi + 1, y_lo:y_hi]
-          + penalty * np.maximum(dv.astype(np.int64) + 1 - grid.vcap, 0))
-    # Prefix sums of run costs: crossing columns [x0, x) on row y costs
-    # pw[x, y] - pw[x0, y]; integer-valued, so differences are exact.
-    pw = np.zeros((w, h))
-    np.cumsum(wh, axis=0, out=pw[1:])
-    pv = np.zeros((w, h))
-    np.cumsum(wv, axis=1, out=pv[:, 1:])
-
-    dist = np.full((w, h), np.inf)
-    dist[a[0] - x_lo, a[1] - y_lo] = 0.0
-    t = np.empty((w, h))
-    prev = np.empty((w, h))
-    passes = 0              # the first pass always lowers distances
-    while True:
-        if passes:
-            np.copyto(prev, dist)
-        np.subtract(dist, pw, out=t)       # rightward sweep
-        np.minimum.accumulate(t, axis=0, out=t)
-        t += pw
-        np.minimum(dist, t, out=dist)
-        np.add(dist, pw, out=t)            # leftward sweep
-        rt = t[::-1]
-        np.minimum.accumulate(rt, axis=0, out=rt)
-        t -= pw
-        np.minimum(dist, t, out=dist)
-        np.subtract(dist, pv, out=t)       # upward sweep
-        np.minimum.accumulate(t, axis=1, out=t)
-        t += pv
-        np.minimum(dist, t, out=dist)
-        np.add(dist, pv, out=t)            # downward sweep
-        rt = t[:, ::-1]
-        np.minimum.accumulate(rt, axis=1, out=rt)
-        t -= pv
-        np.minimum(dist, t, out=dist)
-        if passes and np.array_equal(prev, dist):
-            break
-        passes += 1
-    if not np.isfinite(dist[b[0] - x_lo, b[1] - y_lo]):
-        return grid.edge_ids(l_fallback(grid, a, b, penalty))
-
-    dl = dist.tolist()
-    whl = wh.tolist()
-    wvl = wv.tolist()
-    edges = backtrack_path(
-        lambda cell: dl[cell[0] - x_lo][cell[1] - y_lo],
-        lambda direction, ex, ey: (
-            whl[ex - x_lo][ey - y_lo] if direction == HORIZONTAL
-            else wvl[ex - x_lo][ey - y_lo]),
-        window, a, b)
-    return grid.edge_ids(edges)
-
-
-def _best_pattern_ids(grid: RoutingGrid, a: GCell, b: GCell,
-                      penalty: float) -> Optional[np.ndarray]:
+def _best_pattern(grid: RoutingGrid, demand: List[int],
+                  history: List[float], a: GCell,
+                  b: GCell) -> Optional[List[int]]:
     """Cheapest **overflow-free** L/Z pattern between two GCells.
 
     Candidates, in canonical order: HVH patterns with the vertical run
     at each column x ∈ [min, max] (the two Ls are the extremes), then
-    VHV patterns with the horizontal run at each row y.  Edge cost
-    matches the maze search (1 + history + penalty × would-be
-    overflow); a candidate is eligible only when committing it causes
-    no overflow.  Returns ``None`` when every candidate overflows —
-    the caller then falls back to :func:`repro.route.maze.maze_route`.
+    VHV patterns with the horizontal run at each row y; the first
+    strict minimum wins.  A candidate is eligible only when none of its
+    edges is full (demand ≥ capacity), so its penalty term is zero and
+    it costs Σ(1 + history).  Returns ``None`` when every candidate
+    holds a full edge — the caller then pays for :func:`_maze`.
 
-    All candidate costs are evaluated with prefix-sum gathers; because
-    the summands are exactly representable, the selection is
+    Prefix sums of ``1 + history`` and of full-edge counts along the
+    two pin rows and the two pin columns price the pin-side runs in
+    O(1); only the middle run is scanned, and the scan stops at the
+    first full edge or once the candidate can no longer win.  Every
+    summand is an integer-valued float, so the selection is
     bit-identical to the reference engine's per-edge scan.
     """
     (ax, ay), (bx, by) = a, b
-    demand = grid.demand_flat
-    history = grid.history_flat
     hcap, vcap = grid.hcap, grid.vcap
     x_lo, x_hi = min(ax, bx), max(ax, bx)
     y_lo, y_hi = min(ay, by), max(ay, by)
-
-    def over_of(ids: np.ndarray, cap: int) -> np.ndarray:
-        # Capacity is uniform per direction, so a scalar stands in for
-        # the per-edge gather; int32 demand cannot overflow here.
-        return np.maximum(demand[ids] + 1 - cap, 0)
-
     if ay == by or ax == bx:           # straight: one candidate
-        ids, cap = ((_h_run_ids(grid, x_lo, x_hi, ay), hcap) if ay == by
-                    else (_v_run_ids(grid, ax, y_lo, y_hi), vcap))
-        return ids if int(over_of(ids, cap).sum()) == 0 else None
+        ids, cap = ((_h_run(grid, x_lo, x_hi, ay), hcap) if ay == by
+                    else (_v_run(grid, ax, y_lo, y_hi), vcap))
+        for e in ids:
+            if demand[e] >= cap:
+                return None
+        return list(ids)
 
-    def run_cost(ids: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarray]:
-        over = over_of(ids, cap)
-        return 1.0 + history[ids] + penalty * over, over
+    def prefix(ids: range, cap: int) -> Tuple[List[float], List[int]]:
+        cost, full = [0.0], [0]
+        c, f = 0.0, 0
+        for e in ids:
+            c += 1.0 + history[e]
+            f += demand[e] >= cap
+            cost.append(c)
+            full.append(f)
+        return cost, full
 
-    def prefix(values: np.ndarray) -> np.ndarray:
-        out = np.empty(len(values) + 1, dtype=values.dtype)
-        out[0] = 0
-        np.cumsum(values, out=out[1:])
-        return out
+    def middle_cost(ids: range, cap: int, cost: float,
+                    bound: float) -> Optional[float]:
+        """``cost`` plus the run's cost; ``None`` once it cannot win."""
+        if cost >= bound:
+            return None
+        for e in ids:
+            if demand[e] >= cap:
+                return None
+            cost += 1.0 + history[e]
+            if cost >= bound:
+                return None
+        return cost
 
+    best_cost = float("inf")
+    best_x = best_y = None
     # HVH: horizontal on row ay from ax to x, vertical at column x,
-    # horizontal on row by from x to bx, for every x in [x_lo, x_hi].
-    xs = np.arange(x_lo, x_hi + 1, dtype=np.int64)
-    w_row_a, o_row_a = run_cost(_h_run_ids(grid, x_lo, x_hi, ay), hcap)
-    w_row_b, o_row_b = run_cost(_h_run_ids(grid, x_lo, x_hi, by), hcap)
-    pw_a, po_a = prefix(w_row_a), prefix(o_row_a)
-    pw_b, po_b = prefix(w_row_b), prefix(o_row_b)
-    vert_ids = (grid.num_h_edges + xs[:, None] * (grid.ny - 1)
-                + np.arange(y_lo, y_hi, dtype=np.int64)[None, :])
-    vert_over = np.maximum(demand[vert_ids] + 1 - vcap, 0)
-    vert_cost = (1.0 + history[vert_ids] + penalty * vert_over).sum(axis=1)
-    pos = xs - x_lo
-    cost_hvh = (np.abs(pw_a[pos] - pw_a[ax - x_lo])
-                + np.abs(pw_b[pos] - pw_b[bx - x_lo]) + vert_cost)
-    over_hvh = (np.abs(po_a[pos] - po_a[ax - x_lo])
-                + np.abs(po_b[pos] - po_b[bx - x_lo])
-                + vert_over.sum(axis=1))
-
+    # horizontal on row by from x to bx.
+    cost_a, full_a = prefix(_h_run(grid, x_lo, x_hi, ay), hcap)
+    cost_b, full_b = prefix(_h_run(grid, x_lo, x_hi, by), hcap)
+    ia, ib = ax - x_lo, bx - x_lo
+    for i in range(x_hi - x_lo + 1):
+        if full_a[i] != full_a[ia] or full_b[i] != full_b[ib]:
+            continue
+        cost = middle_cost(_v_run(grid, x_lo + i, y_lo, y_hi), vcap,
+                           abs(cost_a[i] - cost_a[ia])
+                           + abs(cost_b[i] - cost_b[ib]), best_cost)
+        if cost is not None:
+            best_cost, best_x = cost, x_lo + i
     # VHV: vertical at column ax from ay to y, horizontal on row y,
-    # vertical at column bx from y to by, for every y in [y_lo, y_hi].
-    ys = np.arange(y_lo, y_hi + 1, dtype=np.int64)
-    w_col_a, o_col_a = run_cost(_v_run_ids(grid, ax, y_lo, y_hi), vcap)
-    w_col_b, o_col_b = run_cost(_v_run_ids(grid, bx, y_lo, y_hi), vcap)
-    pw_ca, po_ca = prefix(w_col_a), prefix(o_col_a)
-    pw_cb, po_cb = prefix(w_col_b), prefix(o_col_b)
-    horiz_ids = (np.arange(x_lo, x_hi, dtype=np.int64)[None, :] * grid.ny
-                 + ys[:, None])
-    horiz_over = np.maximum(demand[horiz_ids] + 1 - hcap, 0)
-    horiz_cost = (1.0 + history[horiz_ids]
-                  + penalty * horiz_over).sum(axis=1)
-    ypos = ys - y_lo
-    cost_vhv = (np.abs(pw_ca[ypos] - pw_ca[ay - y_lo])
-                + np.abs(pw_cb[ypos] - pw_cb[by - y_lo]) + horiz_cost)
-    over_vhv = (np.abs(po_ca[ypos] - po_ca[ay - y_lo])
-                + np.abs(po_cb[ypos] - po_cb[by - y_lo])
-                + horiz_over.sum(axis=1))
+    # vertical at column bx from y to by.
+    cost_a, full_a = prefix(_v_run(grid, ax, y_lo, y_hi), vcap)
+    cost_b, full_b = prefix(_v_run(grid, bx, y_lo, y_hi), vcap)
+    ja, jb = ay - y_lo, by - y_lo
+    for j in range(y_hi - y_lo + 1):
+        if full_a[j] != full_a[ja] or full_b[j] != full_b[jb]:
+            continue
+        cost = middle_cost(_h_run(grid, x_lo, x_hi, y_lo + j), hcap,
+                           abs(cost_a[j] - cost_a[ja])
+                           + abs(cost_b[j] - cost_b[jb]), best_cost)
+        if cost is not None:
+            best_cost, best_y = cost, y_lo + j
+    if best_y is not None:
+        y = best_y
+        return [*_v_run(grid, ax, min(ay, y), max(ay, y)),
+                *_h_run(grid, x_lo, x_hi, y),
+                *_v_run(grid, bx, min(y, by), max(y, by))]
+    if best_x is not None:
+        x = best_x
+        return [*_h_run(grid, min(ax, x), max(ax, x), ay),
+                *_v_run(grid, x, y_lo, y_hi),
+                *_h_run(grid, min(x, bx), max(x, bx), by)]
+    return None
 
-    costs = np.concatenate([cost_hvh, cost_vhv])
-    overs = np.concatenate([over_hvh, over_vhv])
-    feasible = overs == 0
-    if not feasible.any():
-        return None
-    best = int(np.argmin(np.where(feasible, costs, np.inf)))
-    if best < len(xs):                 # HVH at column x
-        x = x_lo + best
-        return np.concatenate([
-            _h_run_ids(grid, min(ax, x), max(ax, x), ay),
-            _v_run_ids(grid, x, y_lo, y_hi),
-            _h_run_ids(grid, min(x, bx), max(x, bx), by)])
-    y = y_lo + (best - len(xs))        # VHV at row y
-    return np.concatenate([
-        _v_run_ids(grid, ax, min(ay, y), max(ay, y)),
-        _h_run_ids(grid, x_lo, x_hi, y),
-        _v_run_ids(grid, bx, min(y, by), max(y, by))])
+
+def _maze(grid: RoutingGrid, demand: List[int], history: List[float],
+          a: GCell, b: GCell, penalty: float) -> List[int]:
+    """Flat ids of the cheapest path between two GCells in their window.
+
+    A binary-heap Dijkstra over the window's cells (cell id
+    ``x * ny + y``, so the horizontal edge east of a cell shares its
+    id) with edge cost ``1 + history + penalty × max(demand + 1 −
+    capacity, 0)``, followed by the canonical backtrack of
+    :func:`repro.route.maze.backtrack_path`: from the target, scan
+    left, right, down, up and step to the first neighbour whose
+    distance plus edge cost equals the cell's distance.
+
+    The search stops as soon as the target is popped, and that is
+    exact.  Every edge cost is an integer-valued float ≥ 1, so a
+    neighbour the backtrack can accept has a distance strictly below
+    the target's and was settled, with its final distance, before the
+    target.  A cell not yet settled has a tentative distance of at
+    least the target's, so it can never meet the equality — nor could
+    it with its final distance after an exhaustive search.  The path is
+    therefore the one :func:`repro.route.maze.maze_route` returns.
+
+    The window (pin box plus :data:`BBOX_MARGIN`) always contains both
+    pins and is connected, so the target is always reached.
+    """
+    x_lo, x_hi, y_lo, y_hi = maze_window(grid, a, b, BBOX_MARGIN)
+    ny = grid.ny
+    vbase = grid.num_h_edges          # vertical edge (x, y): vbase + c - x
+    hcap, vcap = grid.hcap, grid.vcap
+    inf = float("inf")
+    source = a[0] * ny + a[1]
+    target = b[0] * ny + b[1]
+    dist = [inf] * (grid.nx * ny)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    push, pop = heapq.heappush, heapq.heappop
+
+    def cost(e: int, cap: int) -> float:
+        over = demand[e] + 1 - cap
+        w = 1.0 + history[e]
+        return w + penalty * over if over > 0 else w
+
+    while True:
+        g, c = pop(heap)
+        if c == target:
+            break
+        if g > dist[c]:
+            continue
+        x, y = divmod(c, ny)
+        v = vbase + c - x              # the vertical edge above c
+        # No edge costs less than 1, so a neighbour already within
+        # g + 1 cannot improve; its edge is not even priced.
+        g1 = g + 1.0
+        for n, e, cap, inside in ((c - ny, c - ny, hcap, x > x_lo),
+                                  (c + ny, c, hcap, x < x_hi),
+                                  (c - 1, v - 1, vcap, y > y_lo),
+                                  (c + 1, v, vcap, y < y_hi)):
+            if inside and dist[n] > g1:
+                ng = g + cost(e, cap)
+                if ng < dist[n]:
+                    dist[n] = ng
+                    push(heap, (ng, n))
+
+    path: List[int] = []
+    c = target
+    while c != source:
+        x, y = divmod(c, ny)
+        v = vbase + c - x
+        d = dist[c]
+        if x > x_lo and dist[c - ny] + cost(c - ny, hcap) == d:
+            path.append(c - ny)
+            c -= ny
+        elif x < x_hi and dist[c + ny] + cost(c, hcap) == d:
+            path.append(c)
+            c += ny
+        elif y > y_lo and dist[c - 1] + cost(v - 1, vcap) == d:
+            path.append(v - 1)
+            c -= 1
+        elif y < y_hi and dist[c + 1] + cost(v, vcap) == d:
+            path.append(v)
+            c += 1
+        else:  # pragma: no cover - impossible for an exact field
+            raise AssertionError(f"inconsistent distance field at {c}")
+    path.reverse()
+    return path

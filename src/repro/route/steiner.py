@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-Point = Tuple[float, float]
 GCell = Tuple[int, int]
 
 
@@ -36,39 +33,31 @@ def mst_segments(points: Sequence[GCell]) -> List[Tuple[GCell, GCell]]:
     """Prim MST over GCells; returns two-pin segments (deduplicated).
 
     Degenerate nets (zero or one distinct point) return no segments.
+    Ties are broken canonically: every point starts with the first
+    (smallest) point as its parent, the next point joined is the
+    lowest-index one at minimum distance, and a parent changes only on
+    a strictly shorter distance.  Nets have a handful of pins, so plain
+    Python lists beat array code here.
     """
     unique = sorted(set(points))
     n = len(unique)
     if n < 2:
         return []
-    xs = np.asarray([p[0] for p in unique], dtype=float)
-    ys = np.asarray([p[1] for p in unique], dtype=float)
-    in_tree = np.zeros(n, dtype=bool)
-    best_dist = np.full(n, np.inf)
-    best_parent = np.full(n, -1, dtype=int)
-    in_tree[0] = True
-    dist0 = np.abs(xs - xs[0]) + np.abs(ys - ys[0])
-    best_dist = np.minimum(best_dist, dist0)
-    best_parent[dist0 <= best_dist] = 0
-    best_dist[0] = np.inf
+    x0, y0 = unique[0]
+    best_dist = [abs(x - x0) + abs(y - y0) for x, y in unique]
+    best_parent = [0] * n
+    rest = list(range(1, n))           # points outside the tree, ascending
     segments: List[Tuple[GCell, GCell]] = []
-    for _ in range(n - 1):
-        masked = np.where(in_tree, np.inf, best_dist)
-        nxt = int(np.argmin(masked))
-        parent = int(best_parent[nxt])
-        segments.append((unique[parent], unique[nxt]))
-        in_tree[nxt] = True
-        dist = np.abs(xs - xs[nxt]) + np.abs(ys - ys[nxt])
-        improved = (~in_tree) & (dist < best_dist)
-        best_dist[improved] = dist[improved]
-        best_parent[improved] = nxt
+    while rest:
+        nxt = min(rest, key=best_dist.__getitem__)   # first minimum
+        rest.remove(nxt)
+        segments.append((unique[best_parent[nxt]], unique[nxt]))
+        px, py = unique[nxt]
+        for i in rest:
+            x, y = unique[i]
+            dist = abs(x - px) + abs(y - py)
+            if dist < best_dist[i]:
+                best_dist[i] = dist
+                best_parent[i] = nxt
     return segments
 
-
-def hpwl_of_points(points: Sequence[Point]) -> float:
-    """Half-perimeter bounding box of a point set."""
-    if len(points) < 2:
-        return 0.0
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return (max(xs) - min(xs)) + (max(ys) - min(ys))

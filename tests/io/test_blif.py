@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits import random_logic_network
-from repro.errors import ParseError
+from repro.errors import NetworkError, ParseError
 from repro.io import dump_blif, parse_blif
 from repro.network import check_boolnet_vs_boolnet, parse_sop
 
@@ -52,6 +52,13 @@ class TestParse:
     def test_latch_rejected(self):
         text = ".model t\n.inputs a\n.outputs q\n.latch a q\n.end\n"
         with pytest.raises(ParseError):
+            parse_blif(text)
+
+    def test_duplicate_output_rejected(self):
+        text = (".model t\n.inputs a b\n.outputs y y\n.names a b y\n11 1\n"
+                ".end\n")
+        with pytest.raises(NetworkError,
+                           match="duplicate primary output 'y'"):
             parse_blif(text)
 
     def test_stray_cover_row_rejected(self):

@@ -26,6 +26,15 @@ class TestConstruction:
         with pytest.raises(NetworkError):
             net.add_input("a")
 
+    def test_duplicate_output_rejected(self):
+        net = build_chain(depth=2)
+        net.add_output("a")
+        net.check()
+        net.add_output("n1")
+        with pytest.raises(NetworkError,
+                           match="duplicate primary output 'n1'"):
+            net.check()
+
     def test_node_shadowing_input_rejected(self):
         net = BooleanNetwork()
         net.add_input("a")

@@ -58,7 +58,7 @@ TWINS = [
     (legalize, "_legalize_vector", legalize._legalize_reference),
     (annealing, "_anneal_vector", annealing._anneal_reference),
     (covering, "_cover_vector", covering._cover_reference),
-    (GlobalRouter, "_route_vector", route_reference),
+    (GlobalRouter, "_route", route_reference),
 ]
 
 

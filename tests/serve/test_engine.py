@@ -65,6 +65,22 @@ class TestStream:
         assert summary["jobs"] == 2
         assert summary["ok"] == 1
 
+    def test_duplicate_output_blif_is_an_error_line(self, tmp_path):
+        """A BLIF repeating a primary output ends in that job's error
+        line (it used to map silently, dropping the repeat), and the
+        next job still runs."""
+        blif = tmp_path / "dup.blif"
+        blif.write_text(".model dup\n.inputs a b\n.outputs y y\n"
+                        ".names a b y\n11 1\n.end\n")
+        dup = Job(id="dup", cmd="flow", source=str(blif))
+        first, second = (json.loads(line) for line in _lines(
+            ServeEngine(_config()).run([dup, FLOW12])))
+        assert (first["id"], first["ok"], first["verdict"]) == \
+            ("dup", False, "error")
+        assert first["error"] == \
+            "NetworkError: duplicate primary output 'y'"
+        assert (second["id"], second["ok"]) == ("f12", True)
+
     def test_unexpected_exception_does_not_stop_the_stream(self,
                                                             monkeypatch):
         """Any Exception a job raises becomes its error line, the next
