@@ -36,6 +36,11 @@ flags: ``--trace FILE`` writes the run's span tree as JSON lines,
 and ``--artifacts DIR`` dumps one congestion heatmap (CSV + ASCII) per
 evaluated K point (defaulting to ``<trace>.artifacts`` when ``--trace``
 is given).
+
+``flow``, ``ksweep`` and ``ksearch`` run as one-job serves.  They exit
+0 with an answer, 1 when the job ran but did not converge or found no
+routable K, and 2 with one ``repro <cmd>: <message>`` stderr line when
+the job was rejected or failed.
 """
 
 from __future__ import annotations
@@ -46,20 +51,16 @@ import json
 import sys
 from typing import List, Optional
 
-from .circuits import benchmark
 from .core import (
     FlowConfig,
     PAPER_K_VALUES,
     area_congestion,
-    congestion_aware_flow,
     evaluate_netlist,
-    k_search,
-    k_sweep,
     map_network,
     min_area,
     timing_of_point,
 )
-from .io import dump_blif, dump_verilog, k_sweep_table, parse_blif
+from .io import dump_blif, dump_verilog, k_sweep_table
 from .library import CORELIB018
 from .network import decompose
 from .obs import (
@@ -76,23 +77,16 @@ from .serve import (
     ServeEngine,
     StatusWriter,
     follow,
+    parse_job,
     parse_jobs,
     write_atomic_text,
 )
+from .serve.caches import load_source
 from .synth import optimize
 
 
-def _load_network(source: str):
-    """A BLIF path or a named benchmark like ``spla@0.125``."""
-    if source.endswith(".blif"):
-        with open(source) as handle:
-            return parse_blif(handle.read())
-    name, _, scale = source.partition("@")
-    return benchmark(name, float(scale) if scale else 0.125)
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
-    network = _load_network(args.source)
+    network = load_source(args.source)
     print(network)
     base = decompose(network)
     print(base)
@@ -100,7 +94,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    network = _load_network(args.source)
+    network = load_source(args.source)
     report = optimize(network, effort=args.effort)
     print(f"literals {report.literals_before} -> {report.literals_after} "
           f"({report.nodes_after} nodes)", file=sys.stderr)
@@ -114,7 +108,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    network = _load_network(args.source)
+    network = load_source(args.source)
     base = decompose(network)
     if args.k != 0 or args.partition == "placement":
         floorplan = Floorplan.for_area(
@@ -138,22 +132,21 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_tracer(args: argparse.Namespace, command: str) -> Optional[Tracer]:
+def _make_tracer(args: argparse.Namespace, command: str,
+                 source: str) -> Optional[Tracer]:
     """A run tracer when any observability flag asks for one."""
     if not (args.trace or args.profile):
         return None
-    return Tracer("run", command=command, source=args.source)
+    return Tracer("run", command=command, source=source)
 
 
-def _emit_observability(args: argparse.Namespace, tracer: Optional[Tracer],
-                        points) -> None:
-    """Write trace / artifacts and print the profile, as requested."""
-    artifacts_dir = args.artifacts or \
-        (args.trace + ".artifacts" if args.trace else "")
-    if artifacts_dir:
-        paths = write_congestion_artifacts(points, artifacts_dir)
-        print(f"artifacts: {len(paths)} congestion files -> {artifacts_dir}",
-              file=sys.stderr)
+def _artifacts_dir(args: argparse.Namespace) -> str:
+    """``--artifacts``, defaulting to ``<trace>.artifacts``."""
+    return args.artifacts or (args.trace + ".artifacts" if args.trace else "")
+
+
+def _close_tracer(args: argparse.Namespace, tracer: Optional[Tracer]) -> None:
+    """Write the trace and print the profile, as requested."""
     if tracer is None:
         return
     root = tracer.close()
@@ -164,78 +157,73 @@ def _emit_observability(args: argparse.Namespace, tracer: Optional[Tracer],
         print(profile_report(root))
 
 
-def _cmd_flow(args: argparse.Namespace) -> int:
-    network = _load_network(args.source)
-    base = decompose(network)
-    config = _flow_config(args)
-    floorplan = Floorplan.from_rows(args.rows) if args.rows else \
-        Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
-    tracer = _make_tracer(args, "flow")
-    result = congestion_aware_flow(base, floorplan, config,
-                                   tolerance=args.tolerance, tracer=tracer)
-    for point in result.history:
-        print(f"K={point.k:g}: area={point.cell_area:.0f} "
-              f"util={point.utilization:.1f}% violations={point.violations}")
-    _emit_observability(args, tracer, result.history)
-    if result.converged:
-        print(f"converged at K={result.chosen_k:g}")
-        return 0
-    print("did not converge: relax the floorplan or resynthesize")
-    return 1
-
-
-def _cmd_ksweep(args: argparse.Namespace) -> int:
-    network = _load_network(args.source)
-    base = decompose(network)
-    config = _flow_config(args)
-    floorplan = Floorplan.from_rows(args.rows) if args.rows else \
-        Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
-    k_values = [float(k) for k in args.k.split(",")] if args.k \
-        else list(PAPER_K_VALUES)
-    tracer = _make_tracer(args, "ksweep")
-    points = k_sweep(base, floorplan, config, k_values=k_values,
-                     progress=lambda msg: print(msg, file=sys.stderr),
-                     tracer=tracer)
-    reused = sum(int(p.stats.get("route.routes_reused", 0)) for p in points)
-    rerouted = sum(int(p.stats.get("route.segments_rerouted", 0))
-                   for p in points)
-    print(f"router: routes_reused={reused} segments_rerouted={rerouted}",
-          file=sys.stderr)
-    print(k_sweep_table(points, title=f"{network.name} K sweep "
-                                      f"(die {floorplan.area:.0f} um2, "
-                                      f"{floorplan.num_rows} rows)"))
-    _emit_observability(args, tracer, points)
-    return 0
-
-
-def _cmd_ksearch(args: argparse.Namespace) -> int:
-    network = _load_network(args.source)
-    base = decompose(network)
-    config = _flow_config(args)
-    floorplan = Floorplan.from_rows(args.rows) if args.rows else \
-        Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
-    k_values = [float(k) for k in args.k.split(",")] if args.k \
-        else list(PAPER_K_VALUES)
-    tracer = _make_tracer(args, "ksearch")
-    result = k_search(base, floorplan, config, k_values=k_values,
-                      strategy=args.k_search, tolerance=args.tolerance,
-                      progress=lambda msg: print(msg, file=sys.stderr),
-                      tracer=tracer)
-    evaluated = result.table_points()
-    print(k_sweep_table(evaluated,
-                        title=f"{network.name} K search ({result.strategy}, "
-                              f"die {floorplan.area:.0f} um2, "
-                              f"{floorplan.num_rows} rows)"))
-    _emit_observability(args, tracer, evaluated)
-    print(f"evaluations: {result.evaluations}/{len(result.k_grid)} "
-          f"grid points ({result.strategy})", file=sys.stderr)
-    if result.chosen is not None:
-        print(f"minimum routable K={result.chosen_k:g} "
-              f"({result.chosen.violations} violations, "
-              f"tolerance {result.tolerance})")
-        return 0
-    print("no routable K on the grid: relax the floorplan or resynthesize")
-    return 1
+def _cmd_job(args: argparse.Namespace) -> int:
+    """``flow``, ``ksweep`` and ``ksearch``: the flags become a serve
+    job, run on a one-job engine and rendered as the human report."""
+    cmd = args.job_cmd
+    data = {key: getattr(args, key) for key
+            in ("source", "rows", "tolerance", "strategy") if key in args}
+    try:
+        if getattr(args, "k", ""):
+            data["k"] = [float(k) for k in args.k.split(",")]
+        job = parse_job(dict(data, id=cmd, cmd=cmd))
+    except (JobError, ValueError) as exc:
+        print(f"repro {cmd}: {exc}", file=sys.stderr)
+        return 2
+    tracer = _make_tracer(args, cmd, args.source)
+    engine = ServeEngine(_flow_config(args), workers=args.workers,
+                         tracer=tracer,
+                         progress=lambda msg: print(msg, file=sys.stderr))
+    result, points = engine.run_job(job)
+    engine.finish()
+    if result.verdict == "error":
+        _close_tracer(args, tracer)
+        print(f"repro {cmd}: {result.error}", file=sys.stderr)
+        return 2
+    if cmd == "flow":
+        for k, area, _cells, util, violations in result.rows:
+            print(f"K={k:g}: area={area:.0f} util={util:.1f}% "
+                  f"violations={violations}")
+    else:
+        if cmd == "ksweep":
+            reused = sum(int(p.stats.get("route.routes_reused", 0))
+                         for p in points)
+            rerouted = sum(int(p.stats.get("route.segments_rerouted", 0))
+                           for p in points)
+            print(f"router: routes_reused={reused} "
+                  f"segments_rerouted={rerouted}", file=sys.stderr)
+            what = "K sweep ("
+        else:
+            points = sorted(points, key=lambda p: p.k)
+            what = f"K search ({job.strategy}, "
+        # A cache hit; finish() already took the profile's counters.
+        name = engine.caches.network(job.source)[1].name
+        die = points[0].placement.floorplan
+        print(k_sweep_table(points, title=f"{name} {what}die "
+                                          f"{die.area:.0f} um2, "
+                                          f"{die.num_rows} rows)"))
+    artifacts_dir = _artifacts_dir(args)
+    if artifacts_dir:
+        paths = write_congestion_artifacts(points, artifacts_dir)
+        print(f"artifacts: {len(paths)} congestion files -> {artifacts_dir}",
+              file=sys.stderr)
+    _close_tracer(args, tracer)
+    if cmd == "flow":
+        print(f"converged at K={result.chosen_k:g}" if result.ok else
+              "did not converge: relax the floorplan or resynthesize")
+    elif cmd == "ksearch":
+        grid = len(set(job.k or PAPER_K_VALUES))
+        print(f"evaluations: {len(points)}/{grid} grid points "
+              f"({job.strategy})", file=sys.stderr)
+        if result.ok:
+            violations = next(row[4] for row in result.rows
+                              if row[0] == result.chosen_k)
+            print(f"minimum routable K={result.chosen_k:g} ({violations} "
+                  f"violations, tolerance {job.tolerance})")
+        else:
+            print("no routable K on the grid: relax the floorplan or "
+                  "resynthesize")
+    return 0 if result.ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -252,10 +240,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Before chains are planned: the affinity key must see the real die.
     jobs = [dataclasses.replace(job, rows=args.rows)
             if args.rows and not job.rows else job for job in jobs]
-    tracer = Tracer("run", command="serve", source=args.jobs) \
-        if (args.trace or args.profile) else None
-    artifacts_dir = args.artifacts or \
-        (args.trace + ".artifacts" if args.trace else "")
+    tracer = _make_tracer(args, "serve", args.jobs)
     bounds = CacheBounds(
         max_entries=args.cache_max_entries,
         max_bytes=int(args.cache_max_mb * 1024 * 1024)) \
@@ -265,7 +250,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                           every_s=args.status_every_s) \
         if args.status_file else None
     engine = ServeEngine(_flow_config(args), workers=args.workers,
-                         tracer=tracer, artifacts_dir=artifacts_dir,
+                         tracer=tracer, artifacts_dir=_artifacts_dir(args),
                          serve_workers=args.serve_workers,
                          bounds=bounds, cache_dir=args.cache_dir,
                          status=status, slow_job_s=args.slow_job_s)
@@ -295,13 +280,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         with open(args.summary, "w") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if tracer is not None:
-        root = tracer.close()
-        if args.trace:
-            n_lines = tracer.write_jsonl(args.trace)
-            print(f"trace: {n_lines} events -> {args.trace}", file=sys.stderr)
-        if args.profile:
-            print(profile_report(root))
+    _close_tracer(args, tracer)
     rates = summary["cache_hit_rates"]
     print(f"serve: {summary['ok']}/{summary['jobs']} jobs ok, "
           f"{summary['jobs_per_sec']:.2f} jobs/s "
@@ -328,22 +307,23 @@ def _cmd_benchreport(args: argparse.Namespace) -> int:
 
 
 def _cmd_sta(args: argparse.Namespace) -> int:
-    network = _load_network(args.source)
-    base = decompose(network)
+    base = decompose(load_source(args.source))
     config = FlowConfig(library=CORELIB018)
-    floorplan = Floorplan.from_rows(args.rows) if args.rows else \
-        Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
+    floorplan = Floorplan.for_gates(base.num_gates(), args.rows)
     positions = place_base_network(base, floorplan)
     result = map_network(base, CORELIB018, area_congestion(args.k),
                          partition_style="placement", positions=positions)
     point = evaluate_netlist(result.netlist, floorplan, config, k=args.k)
     point.mapping = result
-    report = timing_of_point(point, config)
     print(f"cells      : {result.netlist.num_cells()} "
           f"({result.stats['cell_area']:.1f} um2, "
           f"{point.utilization:.1f}% utilization)")
     print(f"routing    : {point.violations} violations, "
           f"{point.routed_wirelength:.0f} um wire")
+    if not result.netlist.outputs:
+        print("critical   : none (no primary outputs)")
+        return 0
+    report = timing_of_point(point, config)
     print(f"critical   : {report.describe_critical()} ns")
     print("path       : " + " -> ".join(report.critical_path))
     worst = sorted(report.output_arrival.items(),
@@ -426,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("source")
     p_flow.add_argument("--tolerance", type=int, default=0)
     _add_obs_flags(p_flow)
-    p_flow.set_defaults(func=_cmd_flow)
+    p_flow.set_defaults(func=_cmd_job, job_cmd="flow")
 
     p_sweep = sub.add_parser("ksweep", aliases=["sweep"],
                              parents=[flow_parent],
@@ -435,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k", default="",
                          help="comma-separated K list (default: paper's)")
     _add_obs_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_ksweep)
+    p_sweep.set_defaults(func=_cmd_job, job_cmd="ksweep")
 
     p_search = sub.add_parser("ksearch", parents=[flow_parent],
                               help="adaptive minimum routable K search")
     p_search.add_argument("source")
-    p_search.add_argument("--k-search", default="bisect",
+    p_search.add_argument("--k-search", dest="strategy", default="bisect",
                           choices=["grid", "bisect", "portfolio"],
                           help="search strategy (all find the same K; "
                                "grid is the exhaustive reference)")
@@ -449,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--k", default="",
                           help="comma-separated K grid (default: paper's)")
     _add_obs_flags(p_search)
-    p_search.set_defaults(func=_cmd_ksearch)
+    p_search.set_defaults(func=_cmd_job, job_cmd="ksearch")
 
     p_serve = sub.add_parser(
         "serve", parents=[flow_parent],

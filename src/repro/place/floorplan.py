@@ -67,6 +67,14 @@ class Floorplan:
         return cls(width=area / actual_height, row_height=row_height,
                    num_rows=num_rows)
 
+    @classmethod
+    def for_gates(cls, num_gates: int, rows: int = 0) -> "Floorplan":
+        """The flows' default die: ``rows`` rows, else at least one base
+        gate of 12 µm² per ``num_gates`` at 35 % utilization."""
+        if rows:
+            return cls.from_rows(rows)
+        return cls.for_area(max(1, num_gates) * 12.0 / 0.35)
+
     def with_rows(self, num_rows: int) -> "Floorplan":
         """Same width, different row count (the paper's die escalation)."""
         return Floorplan(width=self.width, row_height=self.row_height,

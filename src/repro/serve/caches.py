@@ -69,11 +69,12 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..circuits import benchmark
+from ..circuits import DEFAULT_SCALE, benchmark
 from ..core import FlowConfig, Matcher, Partition, PositionMap
 from ..core.partition import partition as make_partition
 from ..io import parse_blif
 from ..library.cell import CellLibrary
+from ..network.boolnet import BooleanNetwork
 from ..network.dag import BaseNetwork
 from ..network.decompose import decompose
 from ..obs import StatsRegistry
@@ -82,7 +83,7 @@ from ..route.router import RouteCache
 from .persist import PersistentCache
 
 __all__ = ["CacheBounds", "SessionCaches", "approx_nbytes", "die_key",
-           "source_key"]
+           "load_source", "source_key"]
 
 #: (width, row height, rows) — everything that distinguishes one die.
 DieKey = Tuple[float, float, int]
@@ -91,14 +92,28 @@ DieKey = Tuple[float, float, int]
 FAMILIES = ("netlist", "layout", "matcher", "route_pool")
 
 
+def _benchmark_spec(source: str) -> Tuple[str, float]:
+    """(name, scale) of a ``name[@scale]`` source."""
+    name, _, scale = source.partition("@")
+    return name, float(scale) if scale else DEFAULT_SCALE
+
+
 def source_key(source: str) -> str:
-    """Content key of a job source (BLIF path or ``name@scale``)."""
+    """Content key of a job source (BLIF path or ``name[@scale]``)."""
     if source.endswith(".blif"):
         with open(source, "rb") as handle:
             digest = hashlib.sha256(handle.read()).hexdigest()
         return f"blif:sha256:{digest}"
-    name, _, scale = source.partition("@")
-    return f"bench:{name.lower()}@{float(scale) if scale else 0.125:g}"
+    name, scale = _benchmark_spec(source)
+    return f"bench:{name.lower()}@{scale:g}"
+
+
+def load_source(source: str) -> BooleanNetwork:
+    """The network of a job source (BLIF path or ``name[@scale]``)."""
+    if source.endswith(".blif"):
+        with open(source) as handle:
+            return parse_blif(handle.read())
+    return benchmark(*_benchmark_spec(source))
 
 
 def die_key(floorplan: Floorplan) -> DieKey:
@@ -293,12 +308,7 @@ class SessionCaches:
         if cached is not None:
             network, base = cached
             return key, network, base
-        if source.endswith(".blif"):
-            with open(source) as handle:
-                network = parse_blif(handle.read())
-        else:
-            name, _, scale = source.partition("@")
-            network = benchmark(name, float(scale) if scale else 0.125)
+        network = load_source(source)
         base = decompose(network)
         self._put("netlist", key, (network, base))
         return key, network, base

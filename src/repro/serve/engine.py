@@ -55,13 +55,15 @@ back by the flow.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import re
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core import (
+    EvalPoint,
     FlowConfig,
     PAPER_K_VALUES,
     congestion_aware_flow,
@@ -112,9 +114,9 @@ class ServeEngine:
     attaches the persistent disk tier; both default to off.  An
     explicitly injected ``caches`` wins over ``bounds``/``cache_dir``.
 
-    ``status`` attaches a heartbeat writer, ``slow_job_s`` arms the
-    soft per-job deadline watchdog (0 = off); neither affects result
-    lines.
+    ``status`` attaches a heartbeat writer, ``progress`` receives the
+    K lines of ksweep and ksearch jobs, and ``slow_job_s`` arms the soft
+    per-job deadline watchdog (0 = off); none of them affects results.
     """
 
     def __init__(self, config: FlowConfig, workers: int = 1,
@@ -125,6 +127,7 @@ class ServeEngine:
                  bounds: Optional[CacheBounds] = None,
                  cache_dir: str = "",
                  status: Optional[StatusWriter] = None,
+                 progress: Optional[Callable[[str], None]] = None,
                  slow_job_s: float = 0.0):  # noqa: D107
         self.config = config
         self.workers = max(1, workers)
@@ -135,6 +138,7 @@ class ServeEngine:
         self.cache_dir = cache_dir
         self.status = status
         self.slow_job_s = max(0.0, slow_job_s)
+        self.progress = progress
         if caches is not None:
             self.caches = caches
         else:
@@ -158,19 +162,17 @@ class ServeEngine:
 
     # -- one job ---------------------------------------------------------
 
-    def run_job(self, job: Job) -> JobResult:
-        """Execute one job against the session caches (sequential path)."""
+    def run_job(self, job: Job) -> Tuple[JobResult, List[EvalPoint]]:
+        """Execute one job against the session caches (sequential path);
+        returns its result line and evaluated points (none on failure)."""
         t0 = time.perf_counter()
         if self._t_accept is None:
             self._t_accept = t0
         span_cm = (self.tracer.span("job", id=job.id, cmd=job.cmd,
                                     source=job.source)
-                   if self.tracer is not None else None)
+                   if self.tracer is not None else contextlib.nullcontext())
         try:
-            if span_cm is not None:
-                with span_cm:
-                    result, points = self._dispatch(job)
-            else:
+            with span_cm:
                 result, points = self._dispatch(job)
         except Exception as exc:
             result, points = JobResult(
@@ -195,7 +197,7 @@ class ServeEngine:
         self._observe_job(job, points, t_job, queue_wait=t0 - self._t_accept)
         if self.status is not None:
             self.status.update(self.heartbeat())
-        return result
+        return result, points
 
     def _observe_job(self, job: Job, points: List[Any], t_job: float,
                      queue_wait: float) -> None:
@@ -223,38 +225,35 @@ class ServeEngine:
         config = dataclasses.replace(
             self.config,
             workers=job.workers if job.workers is not None else self.workers)
-        floorplan = Floorplan.from_rows(job.rows) if job.rows else \
-            Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
+        floorplan = Floorplan.for_gates(base.num_gates(), job.rows)
         positions, part = self.caches.layout(key, base, floorplan, config)
         matcher = self.caches.matcher(key, base)
         route_cache = (self.caches.route_pool(key, floorplan)
                        if config.route_reuse else None)
         k_values = list(job.k) if job.k is not None else list(PAPER_K_VALUES)
+        injected = dict(positions=positions, tracer=self.tracer,
+                        partition=part, matcher=matcher,
+                        route_cache=route_cache)
         if job.cmd == "flow":
             flow = congestion_aware_flow(
                 base, floorplan, config, k_schedule=k_values,
-                positions=positions, tolerance=job.tolerance,
-                tracer=self.tracer, partition=part, matcher=matcher,
-                route_cache=route_cache)
+                tolerance=job.tolerance, **injected)
             return JobResult(
                 id=job.id, cmd=job.cmd, source=job.source,
                 ok=flow.converged, verdict=flow.verdict,
                 chosen_k=flow.chosen_k,
                 rows=[p.row() for p in flow.history]), flow.history
         if job.cmd == "ksweep":
-            points = k_sweep(
-                base, floorplan, config, k_values=k_values,
-                positions=positions, tracer=self.tracer, partition=part,
-                matcher=matcher, route_cache=route_cache)
+            points = k_sweep(base, floorplan, config, k_values=k_values,
+                             progress=self.progress, **injected)
             return JobResult(
                 id=job.id, cmd=job.cmd, source=job.source, ok=True,
                 verdict="swept", rows=[p.row() for p in points]), points
         assert job.cmd == "ksearch"
         search = k_search(
             base, floorplan, config, k_values=k_values,
-            positions=positions, strategy=job.strategy,
-            tolerance=job.tolerance, tracer=self.tracer, partition=part,
-            matcher=matcher, route_cache=route_cache)
+            strategy=job.strategy, tolerance=job.tolerance,
+            progress=self.progress, **injected)
         return JobResult(
             id=job.id, cmd=job.cmd, source=job.source,
             ok=search.chosen is not None, verdict=search.verdict,
@@ -282,7 +281,7 @@ class ServeEngine:
         else:
             out = []
             for job in jobs:
-                result = self.run_job(job)
+                result, _points = self.run_job(job)
                 out.append(result)
                 if on_result is not None:
                     on_result(result)

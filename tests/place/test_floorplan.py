@@ -37,6 +37,15 @@ class TestFloorplan:
         fp = Floorplan.for_area(10_000.0, aspect=1.0)
         assert fp.area == pytest.approx(10_000.0, rel=0.02)
 
+    def test_for_gates_default_die(self):
+        """12 um2 per gate at 35 % utilization, or the given rows; a
+        gate-less netlist gets the one-gate die instead of failing."""
+        fp = Floorplan.for_gates(350)
+        assert fp.area == pytest.approx(350 * 12.0 / 0.35, rel=0.02)
+        assert Floorplan.for_gates(350, rows=9) == Floorplan.from_rows(9)
+        assert Floorplan.for_gates(0) == Floorplan.for_gates(1)
+        assert Floorplan.for_gates(0).area > 0
+
     def test_with_rows(self):
         fp = Floorplan.from_rows(10)
         bigger = fp.with_rows(12)

@@ -1,9 +1,19 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.io import parse_blif
+from repro.serve import ServeEngine
+
+#: Netlists without gates: an output wired to an input, and no outputs.
+GATELESS_BLIFS = {
+    "wire": ".model wire\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n",
+    "no_outputs": ".model nothing\n.inputs a\n.outputs\n.end\n",
+}
 
 
 @pytest.fixture
@@ -80,8 +90,10 @@ class TestCommands:
 
 class TestObservabilityFlags:
     def test_sweep_alias_parses(self):
+        """``sweep`` resolves to the one-job path's ksweep job."""
         args = build_parser().parse_args(["sweep", "spla@0.01"])
-        assert args.func.__name__ == "_cmd_ksweep"
+        assert args.func is cli._cmd_job
+        assert args.job_cmd == "ksweep"
 
     def test_sweep_trace_profile_artifacts(self, tmp_path, capsys):
         import json
@@ -115,9 +127,86 @@ class TestObservabilityFlags:
         assert any(name.endswith(".txt") for name in os.listdir(art))
 
     def test_profile_without_trace(self, capsys):
+        """A one-shot run is a one-job serve: the sweep sits under the
+        job span, and the session-cache counters follow it."""
         assert main(["ksweep", "spla@0.02", "--rows", "16",
                      "--k", "0.0", "--profile"]) == 0
-        assert "run/sweep/k_point" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "run/job/sweep/k_point" in out
+        assert "run/session_caches" in out
+        assert "serve.netlist_misses" in out
+
+
+class TestOneJobServe:
+    """``flow``, ``ksweep`` and ``ksearch`` fail like serve, through serve."""
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "nosuch@0.02"],
+        ["flow", "missing.blif"],
+        ["flow", "spla@abc"],
+        ["ksweep", "spla@0.02", "--k", "0,-1"],
+        ["ksweep", "spla@0.02", "--k", "abc"],
+        ["flow", "spla@0.02", "--rows", "-3"],
+        ["flow", "spla@0.04", "--rows", "11"],
+        ["flow", "spla@0.02", "--rows", "18", "--tolerance", "-1"],
+        ["ksearch", "spla@0.02", "--k", "0,nan"],
+    ], ids=["unknown-benchmark", "missing-blif", "bad-scale", "negative-k",
+            "non-numeric-k", "negative-rows", "die-too-small",
+            "negative-tolerance", "nan-k"])
+    def test_no_answer_exits_2_with_one_line(self, argv, capsys,
+                                             tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: ")
+        assert captured.out == ""
+
+    def test_runs_inside_the_engine_error_capture(self, capsys,
+                                                  monkeypatch):
+        def broken(self, job):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(ServeEngine, "_dispatch", broken)
+        assert main(["flow", "spla@0.02", "--rows", "18"]) == 2
+        assert capsys.readouterr().err == \
+            "repro flow: TypeError: injected\n"
+
+
+@pytest.mark.parametrize("name", sorted(GATELESS_BLIFS))
+class TestGatelessNetlists:
+    """A netlist without gates gets the default die and maps to nothing."""
+
+    @pytest.fixture
+    def blif(self, tmp_path, name):
+        path = tmp_path / f"{name}.blif"
+        path.write_text(GATELESS_BLIFS[name])
+        return str(path)
+
+    def test_flow(self, blif, capsys):
+        assert main(["flow", blif]) == 0
+        assert capsys.readouterr().out == \
+            "K=0: area=0 util=0.0% violations=0\nconverged at K=0\n"
+
+    def test_sta(self, blif, name, capsys):
+        assert main(["sta", blif]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "cells      : 0 (0.0 um2, 0.0% utilization)"
+        assert out[1].startswith("routing    : 0 violations, ")
+        assert out[2] == ("critical   : a(in) y(out)  0.00 ns"
+                          if name == "wire" else
+                          "critical   : none (no primary outputs)")
+
+    def test_serve_stream(self, blif, tmp_path, capsys):
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(json.dumps({"id": "g", "cmd": "flow",
+                                    "source": blif}) + "\n")
+        assert main(["serve", str(jobs)]) == 0
+        [line] = capsys.readouterr().out.splitlines()
+        result = json.loads(line)
+        assert (result["verdict"], result["chosen_k"], result["rows"]) == \
+            ("converged", 0.0, [[0.0, 0, 0, 0.0, 0]])
 
 
 class TestStaCommand:
