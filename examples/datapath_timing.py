@@ -21,7 +21,7 @@ from repro.core import (
     timing_of_point,
 )
 from repro.library import CORELIB018
-from repro.metrics import logic_depth
+from repro.measures import logic_depth
 from repro.network import BooleanNetwork, check_base_vs_mapped, decompose
 from repro.place import Floorplan, place_base_network
 from repro.synth import optimize

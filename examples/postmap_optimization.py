@@ -16,7 +16,7 @@ Run:  python examples/postmap_optimization.py
 from repro.circuits import spla_like
 from repro.core import FlowConfig, area_congestion, evaluate_netlist, map_network
 from repro.library import CORELIB018
-from repro.metrics import mapped_pin_count
+from repro.measures import mapped_pin_count
 from repro.network import check_base_vs_mapped, decompose
 from repro.place import Floorplan, place_base_network
 from repro.synth import optimize

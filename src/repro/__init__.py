@@ -28,8 +28,8 @@ congestion-aware mapper and flows), :mod:`repro.place`,
 :mod:`repro.io`.
 """
 
-from . import errors, metrics
+from . import errors, measures
 
 __version__ = "1.0.0"
 
-__all__ = ["errors", "metrics", "__version__"]
+__all__ = ["errors", "measures", "__version__"]

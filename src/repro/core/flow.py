@@ -5,10 +5,12 @@ This module glues the substrates into the experiments the paper runs:
 * :func:`evaluate_netlist` — place, globally route and summarise one
   mapped netlist in a fixed floorplan (one row of Tables 1/2/4).
 * :func:`run_k_point` — map the placed base network at one K and
-  evaluate it.
+  evaluate it, or reuse an :class:`EvalMemo` entry when the mapped
+  netlist was already evaluated in the same request.
 * :func:`k_sweep` — the Table 2/4 experiment: the base network and its
   placement are produced **once**, then re-mapped per K (the re-use the
-  paper emphasises as the methodology's cheapness).
+  paper emphasises as the methodology's cheapness); K points that
+  re-map to an already-evaluated netlist skip placement and routing.
 * :func:`congestion_aware_flow` — the Figure 3 loop: start at K = 0,
   evaluate the congestion map, raise K until the map is acceptable.
 * :func:`find_routable_die` — grow the die row by row until a netlist
@@ -19,12 +21,13 @@ This module glues the substrates into the experiments the paper runs:
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PlacementError, ReproError
 from ..exec import derive_seed, fan_out
 from ..library.cell import CellLibrary
+from ..measures import total_hpwl
 from ..obs import Span, StatsRegistry, Tracer
 from ..network.boolnet import BooleanNetwork
 from ..network.dag import BaseNetwork
@@ -91,6 +94,9 @@ class EvalPoint:
     #: Namespaced flow counters: ``eval.*`` wall-times plus the
     #: absorbed ``map.*`` / ``route.*`` / ``exec.*`` registries of the
     #: point's phases (duplicate keys raise instead of overwriting).
+    #: A point that reused an earlier evaluation (:class:`EvalMemo`)
+    #: carries that evaluation's entries replayed, plus
+    #: ``eval.reused`` = 1.
     stats: StatsRegistry = field(default_factory=StatsRegistry)
     #: The point's span subtree (k_point → map / evaluate → attempt →
     #: place / route), built identically on the serial and the
@@ -141,7 +147,7 @@ def _placement_attempt(payload: Tuple[Any, ...], attempt: int) -> EvalPoint:
         violations=routing.violations,
         overflowed_nets=routing.overflowed_nets,
         routed_wirelength=routing.total_wirelength,
-        hpwl=placement.hpwl(netlist),
+        hpwl=total_hpwl(points),
         routable=routing.violations == 0,
         placement=placement, routing=routing,
         stats=stats, trace=tracer.close())
@@ -225,18 +231,90 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
     return best
 
 
+class EvalMemo:
+    """The evaluations one request has run, keyed by netlist structure.
+
+    :func:`evaluate_netlist` is a deterministic function of the netlist,
+    the die, the config and the route cache's contents: its seeds come
+    from ``config.seed`` and the attempt index, and the router only
+    reads the cache.  A serial K loop (one die, one config) therefore
+    owns one memo and passes it to every :func:`run_k_point`; a K point
+    whose mapped netlist has the same
+    :meth:`~repro.network.netlist.MappedNetlist.structure_key` as one
+    evaluated earlier, under the same cache contents, reuses that
+    evaluation's placement and routing instead of running them again.
+    The reuse is exact by construction.
+
+    The cache changes in one way only: :meth:`RouteCache.store` installs
+    a new ``routes`` dict (after a clean routing, or a parallel round's
+    merge).  The memo keeps the dict its entries saw and forgets every
+    entry once the cache holds another one; an evaluation that stored
+    is not recorded, since it saw the old contents.  With no cache
+    (``route_reuse`` off) entries stay valid for the whole request.
+    """
+
+    def __init__(self) -> None:  # noqa: D107
+        self._done: Dict[Tuple, EvalPoint] = {}
+        self._routes: Optional[dict] = None
+
+    def evaluate(self, netlist: MappedNetlist, floorplan: Floorplan,
+                 config: FlowConfig, k: float,
+                 route_cache: Optional[RouteCache]) -> EvalPoint:
+        """:func:`evaluate_netlist`, or a reuse of an equal netlist's."""
+        routes = route_cache.routes if route_cache is not None else None
+        if routes is not self._routes:
+            self._done.clear()
+            self._routes = routes
+        key = netlist.structure_key()
+        done = self._done.get(key)
+        if done is not None:
+            return _reuse_evaluation(done, k)
+        point = evaluate_netlist(netlist, floorplan, config, k=k,
+                                 route_cache=route_cache)
+        if route_cache is None or route_cache.routes is routes:
+            # A copy of the stats: run_k_point adds the mapping's to
+            # the returned point.
+            self._done[key] = replace(
+                point, stats=StatsRegistry.merged([point.stats]))
+        return point
+
+
+def _reuse_evaluation(done: EvalPoint, k: float) -> EvalPoint:
+    """``done``'s evaluation served again at ``k`` (see :class:`EvalMemo`).
+
+    The row fields, placement, routing, HPWL and routed wirelength are
+    ``done``'s, and the objects are shared read-only.  The stats and the
+    ``evaluate`` subtree are replayed: results are kept, work reads 0,
+    times read what reusing took, so per-point :meth:`deterministic`
+    views and span skeletons equal a fresh evaluation's.
+    ``eval.reused`` (work) = 1 marks the point and its span.
+    """
+    tracer = Tracer("evaluate", k=k)
+    tracer.root.counters.work("eval.reused", 1)
+    for child in done.trace.children:
+        tracer.adopt(child.replayed())
+    trace = tracer.close()
+    stats = done.stats.replayed({"eval.t_total": trace.duration})
+    stats.work("eval.reused", 1)
+    return replace(done, k=k, stats=stats, trace=trace)
+
+
 def run_k_point(base: BaseNetwork, positions: PositionMap,
                 floorplan: Floorplan, config: FlowConfig,
                 k: float, partition: Optional[Partition] = None,
                 matcher: Optional[Matcher] = None,
-                route_cache: Optional[RouteCache] = None) -> EvalPoint:
+                route_cache: Optional[RouteCache] = None,
+                memo: Optional[EvalMemo] = None) -> EvalPoint:
     """Map the (already placed) base network at one K and evaluate it.
 
     ``partition`` and ``matcher`` are the K-independent products of the
     base network and its placement; sweeps compute them once and pass
     them to every K point (see :func:`k_sweep`).  ``route_cache``
     carries routes between K points: nets whose pin GCell signature is
-    unchanged warm-start from the previous K's final route.
+    unchanged warm-start from the previous K's final route.  ``memo``,
+    owned by a serial K loop, lets a point whose netlist that loop has
+    already evaluated reuse the evaluation (:class:`EvalMemo`); without
+    one the point is always placed and routed.
     """
     objective = area_congestion(k)
     tracer = Tracer("k_point", k=k)
@@ -246,8 +324,12 @@ def run_k_point(base: BaseNetwork, positions: PositionMap,
                               positions=positions,
                               partition=partition, matcher=matcher)
     sp_map.counters.absorb(mapping.stats)
-    point = evaluate_netlist(mapping.netlist, floorplan, config, k=k,
-                             route_cache=route_cache)
+    if memo is None:
+        point = evaluate_netlist(mapping.netlist, floorplan, config, k=k,
+                                 route_cache=route_cache)
+    else:
+        point = memo.evaluate(mapping.netlist, floorplan, config, k,
+                              route_cache)
     point.mapping = mapping
     point.stats.time("map.t_total", sp_map.duration)
     point.stats.absorb(mapping.stats)
@@ -381,6 +463,11 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
     ``route_reuse`` off, the parallel path keeps the single fan-out
     (one pool, contiguous chunks).
 
+    The serial path evaluates each distinct mapped netlist once: a K
+    point that re-maps to an earlier point's netlist, while the route
+    cache is unchanged, reuses that evaluation (:class:`EvalMemo`).
+    Rows are those of the parallel path, which evaluates every point.
+
     ``tracer``, when given, receives one ``sweep`` span whose children
     are the K points' subtrees, adopted in K order on both execution
     paths.
@@ -430,11 +517,12 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
         if matcher is None:
             matcher = Matcher(base, config.library)
         route_cache = _resolve_caches(config, route_cache)
+        memo = EvalMemo()
         points: List[EvalPoint] = []
         for k in k_list:
             point = run_k_point(base, positions, floorplan, config, k,
                                 partition=part, matcher=matcher,
-                                route_cache=route_cache)
+                                route_cache=route_cache, memo=memo)
             points.append(point)
             if tracer is not None:
                 tracer.adopt(point.trace)
@@ -499,14 +587,16 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
         positions = place_base_network(base, floorplan, seed=config.seed)
     # The loop is inherently sequential (each K's verdict gates the
     # next), but the K-independent work — partition and match
-    # enumeration — is still hoisted out of it, and routes of unchanged
-    # nets are carried between K points via the route cache.
+    # enumeration — is still hoisted out of it, routes of unchanged
+    # nets are carried between K points via the route cache, and a
+    # netlist that repeats an earlier K's is not evaluated again.
     if partition is None:
         partition = make_partition(base, config.partition_style,
                                    positions=positions)
     if matcher is None:
         matcher = Matcher(base, config.library)
     route_cache = _resolve_caches(config, route_cache)
+    memo = EvalMemo()
     span_cm = (tracer.span("flow", tolerance=tolerance)
                if tracer is not None else contextlib.nullcontext())
     with span_cm as flow_span:
@@ -516,7 +606,7 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
         for k in k_schedule:
             point = run_k_point(base, positions, floorplan, config, k,
                                 partition=partition, matcher=matcher,
-                                route_cache=route_cache)
+                                route_cache=route_cache, memo=memo)
             history.append(point)
             if tracer is not None:
                 tracer.adopt(point.trace)

@@ -56,6 +56,7 @@ from ..place.floorplan import Floorplan
 from ..place.placer import place_base_network
 from ..route.router import RouteCache
 from .flow import (
+    EvalMemo,
     EvalPoint,
     FlowConfig,
     PAPER_K_VALUES,
@@ -126,8 +127,9 @@ class _Evaluator:
     Strategies talk indices; the evaluator owns the mapping to K
     values, the shared matcher, the route cache, and the per-point
     tracing/progress plumbing.  ``evaluate`` is the serial path (one
-    matcher, one threaded cache — exactly :func:`~repro.core.flow.k_sweep`'s
-    serial loop); ``evaluate_round`` is the parallel-safe unit (shards
+    matcher, one threaded cache, one :class:`~repro.core.flow.EvalMemo`
+    — exactly :func:`~repro.core.flow.k_sweep`'s serial loop);
+    ``evaluate_round`` is the parallel-safe unit (shards
     cloned from the last clean snapshot, merged back preferring the
     lowest clean K so subsequent smaller probes warm-start).
     """
@@ -155,6 +157,7 @@ class _Evaluator:
         self.rounds = 0
         self.exec_stats = StatsRegistry()
         self.cache = _resolve_caches(config, route_cache)
+        self.memo = EvalMemo()
         self._matcher = matcher if matcher is not None \
             else Matcher(base, config.library)
 
@@ -174,7 +177,8 @@ class _Evaluator:
             return self.points[i]
         point = run_k_point(self.base, self.positions, self.floorplan,
                             self.config, self.grid[i], partition=self.part,
-                            matcher=self._matcher, route_cache=self.cache)
+                            matcher=self._matcher, route_cache=self.cache,
+                            memo=self.memo)
         self._record(i, point)
         return point
 

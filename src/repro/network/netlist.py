@@ -228,6 +228,20 @@ class MappedNetlist:
         return sum(library.cell(inst.cell_name).area
                    for inst in self.instances.values())
 
+    def structure_key(self) -> Tuple:
+        """Everything placement and routing read, as one comparable tuple.
+
+        Inputs and outputs in order, the output bindings, and every
+        instance in insertion order as (name, cell, pin -> net pairs in
+        order, output net).  Two netlists with equal keys place and
+        route identically; compare whole keys, not hashes, so that
+        equality of keys is equality of netlists.
+        """
+        return (tuple(self.inputs), tuple(self.outputs),
+                tuple(self.output_net.items()),
+                tuple((inst.name, inst.cell_name, tuple(inst.pins.items()),
+                       inst.output) for inst in self.instances.values()))
+
     def remove_unused(self) -> int:
         """Drop instances whose outputs reach no primary output.
 

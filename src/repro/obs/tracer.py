@@ -89,6 +89,19 @@ class Span:
             tuple(child.skeleton() for child in self.children),
         )
 
+    def replayed(self) -> "Span":
+        """A copy of the subtree for work that is reused, not redone.
+
+        Names and attributes are kept and the counters are
+        :meth:`~repro.obs.registry.StatsRegistry.replayed`, so the
+        copy's :meth:`skeleton` is this span's; every span of the copy
+        opens and closes at the moment of the call.
+        """
+        now = time.perf_counter()
+        return Span(name=self.name, attrs=dict(self.attrs), t_start=now,
+                    t_end=now, counters=self.counters.replayed(),
+                    children=[child.replayed() for child in self.children])
+
     def iter_spans(self) -> Iterator["Span"]:
         """This span and all descendants, depth-first."""
         yield self

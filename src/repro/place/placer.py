@@ -133,16 +133,6 @@ class Placement:
                     self.pads[po])
         return points
 
-    def hpwl(self, netlist: MappedNetlist) -> float:
-        """Total half-perimeter wirelength (µm)."""
-        total = 0.0
-        for pts in self.net_points(netlist).values():
-            if len(pts) >= 2:
-                xs = [p[0] for p in pts]
-                ys = [p[1] for p in pts]
-                total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-        return total
-
 
 def place_base_network(network: BaseNetwork, floorplan: Floorplan,
                        seed: int = 0, method: str = "mincut",

@@ -159,7 +159,12 @@ class RouteCache:
         return self.routes
 
     def store(self, result: RoutingResult) -> None:
-        """Replace the cache with a result's final routes."""
+        """Replace the cache with a result's final routes.
+
+        Always installs a new ``routes`` dict: holders of the old one
+        (the flow's evaluation memo, serve's disk write-through) tell
+        by identity that the cache changed.
+        """
         self.grid_key = self._key(result.grid)
         self.routes = {route.signature: list(route.seg_edge_ids)
                        for _, route in sorted(result.routes.items())}

@@ -5,7 +5,7 @@ import pytest
 from repro.circuits import ripple_carry_adder
 from repro.core import PositionMap, map_network, min_area, min_delay
 from repro.library import CORELIB018
-from repro.metrics import logic_depth
+from repro.measures import logic_depth
 from repro.network import check_base_vs_mapped, decompose
 
 

@@ -130,6 +130,30 @@ def _script_violations(monkeypatch, sequence):
     monkeypatch.setattr(flow_mod, "GlobalRouter", ScriptedRouter)
 
 
+def _script_point_violations(monkeypatch, sequence):
+    """Make every K point of the flow report the next scripted count.
+
+    Mapping, placement and routing still run; only the count the
+    Figure 3 loop judges is forced.  Scripting per K point rather than
+    per routing keeps one count per point when points that map to equal
+    netlists share one evaluation (``EvalMemo``): a deterministic
+    evaluation cannot give equal netlists different counts.
+    """
+    import repro.core.flow as flow_mod
+
+    real_point = getattr(flow_mod.run_k_point, "_script_real",
+                         flow_mod.run_k_point)
+    remaining = iter(sequence)
+
+    def scripted(*args, **kwargs):
+        point = real_point(*args, **kwargs)
+        point.violations = next(remaining)
+        return point
+
+    scripted._script_real = real_point
+    monkeypatch.setattr(flow_mod, "run_k_point", scripted)
+
+
 class TestFlowVerdicts:
     """The Figure 3 loop records *why* it stopped, not just whether."""
 
@@ -138,7 +162,7 @@ class TestFlowVerdicts:
     def test_strictly_rising_violations_early_stop(self, flow_setup,
                                                    monkeypatch):
         base, config, floorplan, positions = flow_setup
-        _script_violations(monkeypatch, [5, 6, 7])
+        _script_point_violations(monkeypatch, [5, 6, 7])
         tracer = Tracer("run", command="flow")
         result = congestion_aware_flow(base, floorplan, config,
                                        k_schedule=self.SCHEDULE,
@@ -155,7 +179,7 @@ class TestFlowVerdicts:
     def test_plateau_does_not_trigger_heuristic(self, flow_setup,
                                                 monkeypatch):
         base, config, floorplan, positions = flow_setup
-        _script_violations(monkeypatch, [5, 5, 5, 5])
+        _script_point_violations(monkeypatch, [5, 5, 5, 5])
         tracer = Tracer("run", command="flow")
         result = congestion_aware_flow(base, floorplan, config,
                                        k_schedule=self.SCHEDULE,
@@ -173,13 +197,13 @@ class TestFlowVerdicts:
         ever sees a rising tail."""
         base, config, floorplan, positions = flow_setup
         profile = [8, 6, 7, 8]
-        _script_violations(monkeypatch, profile)
+        _script_point_violations(monkeypatch, profile)
         strict = congestion_aware_flow(base, floorplan, config,
                                        k_schedule=self.SCHEDULE,
                                        positions=positions)
         assert strict.verdict == FLOW_EARLY_STOP
         assert len(strict.history) == len(profile)
-        _script_violations(monkeypatch, profile)
+        _script_point_violations(monkeypatch, profile)
         tolerant = congestion_aware_flow(base, floorplan, config,
                                          k_schedule=self.SCHEDULE,
                                          positions=positions, tolerance=6)

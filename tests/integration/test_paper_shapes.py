@@ -82,7 +82,7 @@ class TestFigure1Tradeoff:
 class TestSisVsDagonShape:
     def test_sis_smaller_but_more_shared(self):
         """Aggressive optimization: less area, at least as much fanout."""
-        from repro.metrics import max_fanout
+        from repro.measures import max_fanout
         pla = random_pla("sd", num_inputs=12, num_outputs=8,
                          num_products=60, literals=(4, 8),
                          outputs_per_product=(1, 3), groups=4,

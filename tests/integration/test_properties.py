@@ -17,7 +17,7 @@ from repro.core import (
     placement_partition,
 )
 from repro.library import CORELIB018
-from repro.metrics import logic_depth
+from repro.measures import logic_depth
 from repro.network import check_base_vs_mapped, decompose
 from repro.place import Floorplan, check_legal, place_base_network, place_netlist
 from repro.route import GlobalRouter

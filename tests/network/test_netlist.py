@@ -132,3 +132,30 @@ class TestRenameNet:
     def test_rename_to_self_is_noop(self, tiny):
         tiny.rename_net("n1", "n1")
         assert tiny.instances["u1"].output == "n1"
+
+
+class TestStructureKey:
+    def _copy(self, nl):
+        out = MappedNetlist("other_name")
+        for net in nl.inputs:
+            out.add_input(net)
+        for inst in nl.instances.values():
+            out.add_instance(inst.cell_name, inst.pins, inst.output,
+                             name=inst.name)
+        for name in nl.outputs:
+            out.add_output(name, net=nl.output_net[name])
+        return out
+
+    def test_equal_structures_equal_keys(self, tiny):
+        assert self._copy(tiny).structure_key() == tiny.structure_key()
+
+    def test_any_change_changes_the_key(self, tiny):
+        key = tiny.structure_key()
+        cell = self._copy(tiny)
+        cell.instances["u2"].cell_name = "BUF_X1"
+        pin = self._copy(tiny)
+        pin.instances["u1"].pins["B"] = "a"
+        output = self._copy(tiny)
+        output.add_output("y_copy", net="y")
+        for changed in (cell, pin, output):
+            assert changed.structure_key() != key

@@ -10,7 +10,7 @@ cache, parallel chunks do not.
 
 import pytest
 
-from repro.circuits import random_pla
+from repro.circuits import benchmark, random_pla
 from repro.core import FlowConfig, k_sweep, run_k_point
 from repro.library import CORELIB018
 from repro.network import decompose
@@ -101,6 +101,34 @@ class TestSpanTreeDeterminism:
         for point, child in zip(points, root.children[0].children):
             assert point.trace is child
             assert point.trace.attrs["k"] == point.k
+
+
+class TestReuseDeterminism:
+    """A serial sweep that reuses evaluations (``EvalMemo``) against the
+    parallel path, which evaluates every K point: same rows, per-point
+    deterministic counters and span skeletons."""
+
+    REUSE_K = [0.0, 0.0001, 0.00025, 0.0005, 0.001, 0.0025]
+
+    def test_reused_points_match_parallel(self):
+        base = decompose(benchmark("pdc", 0.03))
+        config = FlowConfig(library=CORELIB018)
+        floorplan = Floorplan.for_gates(base.num_gates(), 11)
+        positions = place_base_network(base, floorplan)
+        runs = {}
+        for workers in (1, 2):
+            tracer = Tracer("run", command="test")
+            points = k_sweep(base, floorplan, config, k_values=self.REUSE_K,
+                             positions=positions, workers=workers,
+                             tracer=tracer)
+            runs[workers] = points, tracer.close()
+        (serial, root_serial), (parallel, root_parallel) = runs[1], runs[2]
+        assert sum(p.stats.get("eval.reused", 0) for p in serial) == 4
+        assert [p.row() for p in serial] == [p.row() for p in parallel]
+        for s, p in zip(serial, parallel):
+            assert s.stats.deterministic() == p.stats.deterministic()
+        assert root_serial.children[0].skeleton() == \
+            root_parallel.children[0].skeleton()
 
 
 class TestFlowStatsAreCollisionSafe:

@@ -167,3 +167,26 @@ class TestDeterministicView:
         view = stats.deterministic()
         assert set(view) == {"route.violations", "map.cell_area"}
         assert view["route.violations"] == 3
+
+
+class TestReplayed:
+    def test_results_kept_work_and_time_zeroed(self):
+        stats = _sample()
+        replay = stats.replayed()
+        assert list(replay) == list(stats)
+        assert replay.kinds() == stats.kinds()
+        assert replay.deterministic() == stats.deterministic()
+        assert replay["route.wirelength"] == 120.5
+        assert replay["exec.workers"] == 4
+        assert replay["route.iterations"] == 0
+        assert replay["route.t_init"] == 0.0
+
+    def test_spent_times(self):
+        replay = _sample().replayed({"route.t_init": 0.5})
+        assert replay["route.t_init"] == 0.5
+
+    def test_source_untouched(self):
+        stats = _sample()
+        stats.replayed()
+        assert stats["route.iterations"] == 7
+        assert stats["route.t_init"] == 0.25

@@ -108,6 +108,23 @@ class TestSkeleton:
         assert a.close().skeleton() != b.close().skeleton()
 
 
+class TestReplayed:
+    def test_same_skeleton_zero_durations(self):
+        tracer = _small_tree()
+        root = tracer.close()
+        for span in root.iter_spans():
+            span.counters.work("eval.work_probe", 3)
+        copy = root.replayed()
+        assert copy.skeleton() == root.skeleton()
+        assert [s.name for s in copy.iter_spans()] == \
+            [s.name for s in root.iter_spans()]
+        for span in copy.iter_spans():
+            assert span.closed and span.duration == 0.0
+            assert span.counters["eval.work_probe"] == 0
+        assert all(a is not b for a, b in
+                   zip(copy.iter_spans(), root.iter_spans()))
+
+
 class TestJsonl:
     def test_events_parse_and_cover_every_span(self):
         tracer = _small_tree()

@@ -44,7 +44,7 @@ class TestBasics:
         nets = cluster_nets(2, 10)
         a = mincut_place(n, nets, np.ones(n), fp)
         b = mincut_place(n, nets, np.ones(n), fp)
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_result(self, fp):
         n = 20

@@ -5,6 +5,7 @@ import pytest
 from repro.core import map_network, min_area
 from repro.errors import PlacementError
 from repro.library import CORELIB018
+from repro.measures import total_hpwl
 from repro.place import Floorplan, check_legal, place_base_network, place_netlist
 from repro.place.spreading import spread
 from repro.place.annealing import anneal, hpwl as sa_hpwl
@@ -74,7 +75,7 @@ class TestPlaceNetlist:
 
     def test_hpwl_positive(self, mapped, small_floorplan):
         placement = place_netlist(mapped, CORELIB018, small_floorplan)
-        assert placement.hpwl(mapped) > 0
+        assert total_hpwl(placement.net_points(mapped)) > 0
 
     def test_pin_point_lookup(self, mapped, small_floorplan):
         placement = place_netlist(mapped, CORELIB018, small_floorplan)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import hpwl
+from repro.measures import hpwl
 from repro.route import manhattan, mst_segments
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import map_network, min_area
 from repro.library import CORELIB018
-from repro.metrics import (
+from repro.measures import (
     average_fanin,
     fanout_histogram,
     hpwl,
