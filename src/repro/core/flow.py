@@ -7,10 +7,12 @@ This module glues the substrates into the experiments the paper runs:
 * :func:`run_k_point` — map the placed base network at one K and
   evaluate it, or reuse an :class:`EvalMemo` entry when the mapped
   netlist was already evaluated in the same request.
-* :func:`k_sweep` — the Table 2/4 experiment: the base network and its
-  placement are produced **once**, then re-mapped per K (the re-use the
-  paper emphasises as the methodology's cheapness); K points that
-  re-map to an already-evaluated netlist skip placement and routing.
+* :class:`KLoop` — the one K loop: the base network and its placement
+  are produced **once**, then re-mapped per K (the re-use the paper
+  emphasises as the methodology's cheapness), serially or in process
+  pool rounds; K points that re-map to an already-evaluated netlist
+  skip placement and routing.
+* :func:`k_sweep` — the Table 2/4 experiment: every K of the schedule.
 * :func:`congestion_aware_flow` — the Figure 3 loop: start at K = 0,
   evaluate the congestion map, raise K until the map is acceptable.
 * :func:`find_routable_die` — grow the die row by row until a netlist
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..errors import PlacementError, ReproError
 from ..exec import derive_seed, fan_out
@@ -59,9 +62,9 @@ class FlowConfig:
     (K points of a sweep, placement attempts of an evaluation); 1 keeps
     everything serial.  Parallel runs are bit-identical to serial ones.
 
-    ``route_reuse`` enables cross-K route warm-starting in the serial
-    sweep loops: nets whose pin GCell signature is unchanged between
-    adjacent K netlists start from the previous K's final route.
+    ``route_reuse`` enables cross-K route warm-starting in the K loop:
+    nets whose pin GCell signature is unchanged between K netlists
+    start from an earlier K's final route.
     """
 
     library: CellLibrary
@@ -153,13 +156,14 @@ def _placement_attempt(payload: Tuple[Any, ...], attempt: int) -> EvalPoint:
         stats=stats, trace=tracer.close())
 
 
-def _select_best(points: Sequence[EvalPoint]) -> EvalPoint:
-    """Replicate the serial retry loop's pick over precomputed attempts.
+def _select_best(points: Iterable[EvalPoint]) -> EvalPoint:
+    """The retry loop's pick: the strictly best (violations, wirelength)
+    attempt seen so far, stopping at the first zero-violation best.
 
-    The serial loop keeps the strictly best (violations, wirelength)
-    seen so far and stops at the first zero-violation best; scanning
-    the full attempt list in order with the same rule selects the same
-    point, which is what keeps ``workers=N`` bit-identical.
+    ``points`` is a generator of serial attempts, which is not advanced
+    past the stop, or the list of all attempts a pool ran; the rule
+    selects the same point from both, which is what keeps ``workers=N``
+    bit-identical.
     """
     best: Optional[EvalPoint] = None
     for point in points:
@@ -201,21 +205,13 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
     payload = (netlist, floorplan, config, k, area, route_cache)
     if attempts > 1 and nworkers > 1:
         exec_stats = StatsRegistry()
-        points = fan_out(_placement_attempt, payload, range(attempts),
-                         workers=nworkers, stats=exec_stats)
-        best = _select_best(points)
+        best = _select_best(fan_out(_placement_attempt, payload,
+                                    range(attempts), workers=nworkers,
+                                    stats=exec_stats))
         best.stats.merge(exec_stats)
     else:
-        best = None
-        for attempt in range(attempts):
-            point = _placement_attempt(payload, attempt)
-            if best is None or \
-                    (point.violations, point.routed_wirelength) < \
-                    (best.violations, best.routed_wirelength):
-                best = point
-            if best.violations == 0:
-                break
-        assert best is not None
+        best = _select_best(_placement_attempt(payload, attempt)
+                            for attempt in range(attempts))
     # Only clean routings refresh the cache.  Warm-starting the next K
     # point's negotiation from a *congested* snapshot poisons it — the
     # router inherits overflow history it cannot unwind and lands on
@@ -237,9 +233,9 @@ class EvalMemo:
     :func:`evaluate_netlist` is a deterministic function of the netlist,
     the die, the config and the route cache's contents: its seeds come
     from ``config.seed`` and the attempt index, and the router only
-    reads the cache.  A serial K loop (one die, one config) therefore
-    owns one memo and passes it to every :func:`run_k_point`; a K point
-    whose mapped netlist has the same
+    reads the cache.  A :class:`KLoop` (one die, one config) therefore
+    owns one memo and passes it to every serial :func:`run_k_point`; a
+    K point whose mapped netlist has the same
     :meth:`~repro.network.netlist.MappedNetlist.structure_key` as one
     evaluated earlier, under the same cache contents, reuses that
     evaluation's placement and routing instead of running them again.
@@ -308,13 +304,13 @@ def run_k_point(base: BaseNetwork, positions: PositionMap,
     """Map the (already placed) base network at one K and evaluate it.
 
     ``partition`` and ``matcher`` are the K-independent products of the
-    base network and its placement; sweeps compute them once and pass
-    them to every K point (see :func:`k_sweep`).  ``route_cache``
-    carries routes between K points: nets whose pin GCell signature is
-    unchanged warm-start from the previous K's final route.  ``memo``,
-    owned by a serial K loop, lets a point whose netlist that loop has
-    already evaluated reuse the evaluation (:class:`EvalMemo`); without
-    one the point is always placed and routed.
+    base network and its placement; a :class:`KLoop` computes them once
+    and passes them to every K point.  ``route_cache`` carries routes
+    between K points: nets whose pin GCell signature is unchanged
+    warm-start from the previous K's final route.  ``memo``, owned by a
+    :class:`KLoop`, lets a point whose netlist that loop has already
+    evaluated reuse the evaluation (:class:`EvalMemo`); without one the
+    point is always placed and routed.
     """
     objective = area_congestion(k)
     tracer = Tracer("k_point", k=k)
@@ -345,7 +341,7 @@ _sweep_matcher: Optional[Tuple[Any, Matcher]] = None
 
 
 def _k_point_task(payload: Tuple[Any, ...], k: float) -> EvalPoint:
-    """One K point of a sweep round (a fan-out task).
+    """One K point of a :class:`KLoop` pool round (a fan-out task).
 
     The payload's last slot is an optional :class:`RouteCache`
     snapshot; each task clones it into a private shard, so every K
@@ -364,66 +360,147 @@ def _k_point_task(payload: Tuple[Any, ...], k: float) -> EvalPoint:
                        partition=part, matcher=matcher, route_cache=shard)
 
 
-def evaluate_k_round(base: BaseNetwork, positions: PositionMap,
-                     floorplan: Floorplan, config: FlowConfig,
-                     ks: Sequence[float], part: Partition,
-                     workers: int = 1,
-                     route_cache: Optional[RouteCache] = None,
-                     stats: Optional[StatsRegistry] = None,
-                     tracer: Optional[Tracer] = None) -> List[EvalPoint]:
-    """Evaluate one *round* of K points over the process pool.
+class KLoop:
+    """One request's K loop: the paper's Section 5 methodology.
 
-    Every task receives the same opening snapshot of ``route_cache``
-    (or no cache) and clones it into a private shard; the caller merges
-    the round's results back with :func:`merge_round_routes`.  Results
-    come back in ``ks`` order.  This is the parallel-safe unit both
-    :func:`k_sweep` and :func:`repro.core.ksearch.k_search` build on.
+    The base network is placed once and re-mapped per K of ``k_values``
+    (:func:`run_k_point`).  The constructor builds what every K point
+    shares: the technology-independent positions, the partition, the
+    matcher (match memo + cover memo), the warm-start route cache and
+    one :class:`EvalMemo`.  ``positions`` / ``partition`` / ``matcher`` /
+    ``route_cache`` inject session-scoped copies (see
+    :mod:`repro.serve`); all are pure speedups, so the rows are those
+    of an uninjected loop.  With ``config.route_reuse`` off there is no
+    route cache, and an injected one is ignored.
+
+    Callers name points by their index into :attr:`grid`.
+    :meth:`evaluate` runs one point serially, threading the route cache
+    and the memo through.  :meth:`evaluate_round` runs a round of
+    points over a pool of ``workers`` processes (default
+    ``config.workers``): every task clones the round's opening cache
+    snapshot into a private shard and builds its own matcher, and the
+    cache then adopts one clean member of the round.  Either way each
+    point is recorded once: its subtree is adopted into ``tracer``, its
+    line goes to ``progress``, and a pool round's ``exec.*`` entries go
+    into its stats and :attr:`exec_stats`.
     """
-    snapshot = (route_cache
-                if route_cache is not None and route_cache.routes else None)
-    payload = (base, positions, floorplan, config, part, snapshot)
-    return fan_out(_k_point_task, payload, list(ks), workers=workers,
-                   stats=stats, tracer=tracer)
 
+    def __init__(self, base: BaseNetwork, floorplan: Floorplan,
+                 config: FlowConfig, k_values: Sequence[float],
+                 positions: Optional[PositionMap] = None,
+                 workers: Optional[int] = None, tolerance: int = 0,
+                 prefer_low_k: bool = False,
+                 progress: Optional[Callable[[str], None]] = None,
+                 tracer: Optional[Tracer] = None,
+                 partition: Optional[Partition] = None,
+                 matcher: Optional[Matcher] = None,
+                 route_cache: Optional[RouteCache] = None):  # noqa: D107
+        if positions is None:
+            positions = place_base_network(base, floorplan, seed=config.seed)
+        if partition is None:
+            partition = make_partition(base, config.partition_style,
+                                       positions=positions)
+        if not config.route_reuse:
+            route_cache = None
+        elif route_cache is None:
+            route_cache = RouteCache()
+        self.base, self.floorplan, self.config = base, floorplan, config
+        self.positions, self.partition = positions, partition
+        self.matcher = matcher if matcher is not None \
+            else Matcher(base, config.library)
+        self.cache = route_cache
+        self.memo = EvalMemo()
+        self.grid = tuple(k_values)
+        self.workers = max(1, config.workers if workers is None else workers)
+        #: Violations still counted as routable (:meth:`routable`).
+        self.tolerance = tolerance
+        #: Which clean member of a pool round the cache adopts.
+        self.prefer_low_k = prefer_low_k
+        self.progress = progress
+        self.tracer = tracer
+        #: Evaluated points by grid index; indices in evaluation order.
+        self.points: Dict[int, EvalPoint] = {}
+        self.order: List[int] = []
+        #: Pool rounds run, and their merged ``exec.*`` entries.
+        self.rounds = 0
+        self.exec_stats = StatsRegistry()
 
-def merge_round_routes(cache: RouteCache, points: Sequence[EvalPoint],
-                       prefer_low_k: bool = False) -> None:
-    """Deterministically merge a round's shards back into the cache.
+    @property
+    def evaluated(self) -> List[EvalPoint]:
+        """The evaluated points, in evaluation order."""
+        return [self.points[i] for i in self.order]
 
-    Shards only ever *store* the zero-violation routing of their own K
-    point, so merging reduces to picking one clean round member as the
-    next snapshot: the highest-K clean point by default — exactly the
-    state a serial ascending sweep would have left behind — or the
-    lowest-K one (``prefer_low_k``), which is what a minimum-K search
-    wants its next, smaller probes to warm-start from.  The pick
-    depends only on the round's results, never on worker scheduling.
-    """
-    clean = [p for p in points
-             if p.routing is not None and p.routing.violations == 0]
-    if clean:
-        pick = (min if prefer_low_k else max)(clean, key=lambda p: p.k)
-        cache.store(pick.routing)
+    def routable(self, i: int) -> bool:
+        """Whether point ``i`` routes within the loop's tolerance."""
+        return self.points[i].violations <= self.tolerance
 
+    def violations(self, i: int) -> int:
+        """Point ``i``'s routing violations."""
+        return self.points[i].violations
 
-def _progress_line(point: EvalPoint) -> str:
-    return (f"K={point.k:g}: area={point.cell_area:.0f} "
-            f"cells={point.num_cells} util={point.utilization:.1f}% "
-            f"violations={point.violations}")
+    def span(self, name: str, **attrs: Any):
+        """A span of ``tracer`` for the whole loop (a no-op without one)."""
+        if self.tracer is None:
+            return contextlib.nullcontext()
+        return self.tracer.span(name, **attrs)
 
+    def evaluate(self, i: int) -> None:
+        """Evaluate point ``i`` serially, unless it already was."""
+        if i not in self.points:
+            self._record(i, run_k_point(
+                self.base, self.positions, self.floorplan, self.config,
+                self.grid[i], partition=self.partition, matcher=self.matcher,
+                route_cache=self.cache, memo=self.memo))
 
-def _resolve_caches(config: FlowConfig, route_cache: Optional[RouteCache]
-                    ) -> Optional[RouteCache]:
-    """The warm-start cache a sweep loop should thread through its
-    K points: the injected one (a session-scoped pool entry from e.g.
-    ``repro serve``), a fresh one, or ``None`` with reuse disabled.
+    def evaluate_round(self, indices: Iterable[int]) -> None:
+        """Evaluate the points of ``indices`` not evaluated yet as one
+        pool round; with one worker, or one such point, they run
+        serially (:meth:`evaluate`).
 
-    Warm starts are pure speedups — a warm-started point reports the
-    same row as a cold one — so injecting a pre-warmed cache never
-    changes results, only wall time.
-    """
-    if not config.route_reuse:
-        return None
-    return route_cache if route_cache is not None else RouteCache()
+        Points are recorded in ``indices`` order.  Shards only ever
+        *store* the zero-violation routing of their own K point, so
+        merging reduces to picking one clean member as the next
+        snapshot: the highest-K one, the state a serial ascending sweep
+        would leave behind, or with ``prefer_low_k`` the lowest-K one,
+        which the next, smaller probes of a minimum-K search want to
+        warm-start from.  The pick depends only on the round's results,
+        never on worker scheduling.
+        """
+        todo = [i for i in indices if i not in self.points]
+        if self.workers == 1 or len(todo) <= 1:
+            for i in todo:
+                self.evaluate(i)
+            return
+        self.rounds += 1
+        round_stats = StatsRegistry()
+        snapshot = self.cache if self.cache is not None \
+            and self.cache.routes else None
+        payload = (self.base, self.positions, self.floorplan, self.config,
+                   self.partition, snapshot)
+        points = fan_out(_k_point_task, payload,
+                         [self.grid[i] for i in todo], workers=self.workers,
+                         stats=round_stats, tracer=self.tracer)
+        clean = [p for p in points
+                 if p.routing is not None and p.routing.violations == 0]
+        if self.cache is not None and clean:
+            pick = (min if self.prefer_low_k else max)(clean,
+                                                       key=lambda p: p.k)
+            self.cache.store(pick.routing)
+        self.exec_stats.merge(round_stats)
+        for i, point in zip(todo, points):
+            point.stats.merge(round_stats)
+            self._record(i, point)
+
+    def _record(self, i: int, point: EvalPoint) -> None:
+        self.points[i] = point
+        self.order.append(i)
+        if self.tracer is not None:
+            self.tracer.adopt(point.trace)
+        if self.progress is not None:
+            self.progress(f"K={point.k:g}: area={point.cell_area:.0f} "
+                          f"cells={point.num_cells} "
+                          f"util={point.utilization:.1f}% "
+                          f"violations={point.violations}")
 
 
 def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
@@ -437,98 +514,44 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
             route_cache: Optional[RouteCache] = None) -> List[EvalPoint]:
     """The Table 2/4 experiment: one mapping + evaluation per K.
 
-    The technology-independent placement is computed once and re-used
-    for every K (each :func:`run_k_point` copies it internally through
-    the mapper), exactly as the paper's methodology prescribes.  The
-    partition and the matcher's match enumeration likewise depend only
-    on the base network and its placement, so they are hoisted out of
-    the per-K loop.
+    A :class:`KLoop` places the technology-independent network once and
+    re-maps it per K, exactly as the paper's methodology prescribes;
+    the partition and the matcher's match enumeration likewise depend
+    only on the base network and its placement, so they are hoisted
+    out of the per-K loop.  The points come back in ``k_values`` order.
 
-    ``workers`` (defaulting to ``config.workers``) fans the K points
-    out over a process pool; the returned points are bit-identical to
-    the serial path's (same ``EvalPoint.row()`` tuples, same order).
-
-    With ``config.route_reuse`` on, both paths thread a
-    :class:`RouteCache` through the K points: nets whose pin GCell
-    signature is unchanged between K netlists warm-start from a
-    previous K's final route, so the sweep stops paying full routing
-    cost at every K.  The serial path carries the cache point to
-    point; the parallel path runs the sweep in rounds of ``workers``
-    K points, where every task of a round clones the last
-    zero-violation snapshot into a private shard and the round's clean
-    results are merged back deterministically
-    (:func:`merge_round_routes`).  Warm starts are pure speedups —
-    a warm-started point reports the same row as a cold one — so the
-    sharded rounds stay bit-identical to the serial warm sweep.  With
-    ``route_reuse`` off, the parallel path keeps the single fan-out
-    (one pool, contiguous chunks).
-
-    The serial path evaluates each distinct mapped netlist once: a K
-    point that re-maps to an earlier point's netlist, while the route
-    cache is unchanged, reuses that evaluation (:class:`EvalMemo`).
-    Rows are those of the parallel path, which evaluates every point.
+    ``workers`` (defaulting to ``config.workers``) runs the sweep in
+    pool rounds of ``workers`` K points; the rows are bit-identical to
+    a serial sweep's.  With ``config.route_reuse`` on, the K points
+    thread a :class:`RouteCache`: nets whose pin GCell signature is
+    unchanged between K netlists warm-start from a previous K's final
+    route, so the sweep stops paying full routing cost at every K.
+    Warm starts are pure speedups — a warm-started point reports the
+    same row as a cold one.  With ``route_reuse`` off no round depends
+    on another, so the sweep is one round of every K point.  A K point
+    run serially that re-maps to an earlier point's netlist, while the
+    route cache is unchanged, reuses that evaluation
+    (:class:`EvalMemo`); pool tasks evaluate every point.
 
     ``tracer``, when given, receives one ``sweep`` span whose children
-    are the K points' subtrees, adopted in K order on both execution
-    paths.
+    are the K points' subtrees, adopted in K order on every plan.
 
     ``partition`` / ``matcher`` / ``route_cache`` inject session-scoped
-    caches (see :mod:`repro.serve`): the K-independent partition, a
-    shared matcher (match memo + cover memo; serial path only — pool
-    workers build their own) and a warm-start route cache carried
-    across calls.  All three are pure speedups; the returned rows are
-    identical to an uninjected sweep's.
+    caches (see :class:`KLoop`); the returned rows are identical to an
+    uninjected sweep's.
     """
-    if positions is None:
-        positions = place_base_network(base, floorplan, seed=config.seed)
-    nworkers = max(1, config.workers if workers is None else workers)
-    part = partition if partition is not None else \
-        make_partition(base, config.partition_style, positions=positions)
-    k_list = list(k_values)
-    span_cm = (tracer.span("sweep", points=len(k_list))
-               if tracer is not None else contextlib.nullcontext())
-    with span_cm as sweep_span:
-        if nworkers > 1 and len(k_list) > 1:
-            route_cache = _resolve_caches(config, route_cache)
-            groups = ([k_list] if route_cache is None else
-                      [k_list[i:i + nworkers]
-                       for i in range(0, len(k_list), nworkers)])
-            exec_stats = StatsRegistry()
-            points: List[EvalPoint] = []
-            for group in groups:
-                round_stats = StatsRegistry()
-                round_points = evaluate_k_round(
-                    base, positions, floorplan, config, group, part,
-                    workers=nworkers, route_cache=route_cache,
-                    stats=round_stats, tracer=tracer)
-                if route_cache is not None:
-                    merge_round_routes(route_cache, round_points)
-                exec_stats.merge(round_stats)
-                for point in round_points:
-                    point.stats.merge(round_stats)
-                    if tracer is not None:
-                        tracer.adopt(point.trace)
-                    if progress is not None:
-                        progress(_progress_line(point))
-                points.extend(round_points)
-            if sweep_span is not None:
-                sweep_span.counters.merge(exec_stats)
-            return points
-        if matcher is None:
-            matcher = Matcher(base, config.library)
-        route_cache = _resolve_caches(config, route_cache)
-        memo = EvalMemo()
-        points: List[EvalPoint] = []
-        for k in k_list:
-            point = run_k_point(base, positions, floorplan, config, k,
-                                partition=part, matcher=matcher,
-                                route_cache=route_cache, memo=memo)
-            points.append(point)
-            if tracer is not None:
-                tracer.adopt(point.trace)
-            if progress is not None:
-                progress(_progress_line(point))
-        return points
+    loop = KLoop(base, floorplan, config, k_values, positions=positions,
+                 workers=workers, progress=progress, tracer=tracer,
+                 partition=partition, matcher=matcher,
+                 route_cache=route_cache)
+    n = len(loop.grid)
+    size = loop.workers if loop.cache is not None else max(1, n)
+    with loop.span("sweep", points=n) as span:
+        for start in range(0, n, size):
+            loop.evaluate_round(range(start, min(start + size, n)))
+        if span is not None:
+            span.counters.merge(loop.exec_stats)
+    return loop.evaluated
 
 
 #: :attr:`FlowResult.verdict` values — why the Figure 3 loop ended.
@@ -580,56 +603,36 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
     are the evaluated K points' subtrees in schedule order.
 
     ``partition`` / ``matcher`` / ``route_cache``, when given, inject
-    session-scoped caches the same way :func:`k_sweep` accepts them —
-    pure speedups, identical results.
+    session-scoped caches (see :class:`KLoop`) — pure speedups,
+    identical results.
     """
-    if positions is None:
-        positions = place_base_network(base, floorplan, seed=config.seed)
     # The loop is inherently sequential (each K's verdict gates the
-    # next), but the K-independent work — partition and match
-    # enumeration — is still hoisted out of it, routes of unchanged
-    # nets are carried between K points via the route cache, and a
-    # netlist that repeats an earlier K's is not evaluated again.
-    if partition is None:
-        partition = make_partition(base, config.partition_style,
-                                   positions=positions)
-    if matcher is None:
-        matcher = Matcher(base, config.library)
-    route_cache = _resolve_caches(config, route_cache)
-    memo = EvalMemo()
-    span_cm = (tracer.span("flow", tolerance=tolerance)
-               if tracer is not None else contextlib.nullcontext())
-    with span_cm as flow_span:
-        history: List[EvalPoint] = []
-        chosen: Optional[EvalPoint] = None
+    # next), so it evaluates one point at a time.
+    loop = KLoop(base, floorplan, config, k_schedule, positions=positions,
+                 tolerance=tolerance, tracer=tracer, partition=partition,
+                 matcher=matcher, route_cache=route_cache)
+    with loop.span("flow", tolerance=tolerance) as flow_span:
         verdict = FLOW_SCHEDULE_EXHAUSTED
-        for k in k_schedule:
-            point = run_k_point(base, positions, floorplan, config, k,
-                                partition=partition, matcher=matcher,
-                                route_cache=route_cache, memo=memo)
-            history.append(point)
-            if tracer is not None:
-                tracer.adopt(point.trace)
-            if point.violations <= tolerance:
-                chosen = point
+        for i in range(len(loop.grid)):
+            loop.evaluate(i)
+            if loop.routable(i):
                 verdict = FLOW_CONVERGED
                 break
             # The paper's stopping heuristic: once congestion worsens
             # while the area penalty keeps growing, more K will not
             # help.
-            if len(history) >= 3:
-                recent = history[-3:]
-                if (recent[2].violations > recent[1].violations
-                        > recent[0].violations):
-                    verdict = FLOW_EARLY_STOP
-                    break
+            if i >= 2 and loop.violations(i) > loop.violations(i - 1) \
+                    > loop.violations(i - 2):
+                verdict = FLOW_EARLY_STOP
+                break
         if flow_span is not None:
             flow_span.attrs["verdict"] = verdict
             flow_span.counters.gauge(
                 "flow.early_stop", 1.0 if verdict == FLOW_EARLY_STOP else 0.0)
-        return FlowResult(chosen=chosen, history=history,
-                          converged=verdict == FLOW_CONVERGED,
-                          verdict=verdict)
+    history = loop.evaluated
+    converged = verdict == FLOW_CONVERGED
+    return FlowResult(chosen=history[-1] if converged else None,
+                      history=history, converged=converged, verdict=verdict)
 
 
 def find_routable_die(netlist: MappedNetlist, start_rows: int,

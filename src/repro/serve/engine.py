@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import os
 import re
 import time
@@ -101,8 +102,19 @@ _PHASE_HISTOGRAMS = (("serve.map_seconds", "map.t_total"),
 
 
 def _artifact_slug(job_id: str) -> str:
-    """A filesystem-safe directory name for a job's artifacts."""
-    return re.sub(r"[^A-Za-z0-9._-]", "_", job_id) or "job"
+    """The directory, inside ``--artifacts DIR``, of one job's artifacts.
+
+    A job id made only of ``A-Za-z0-9._-`` names its directory, unless
+    it is empty, ``.`` or ``..``.  Any other id gets its other
+    characters replaced by ``_``, then ``+`` and 8 hex digits of its
+    SHA-256 appended: the ``+`` keeps such names apart from every kept
+    id, and the digest keeps ids apart that sanitize alike (``a b`` and
+    ``a/b``).
+    """
+    slug = re.sub(r"[^A-Za-z0-9._-]", "_", job_id)
+    if slug == job_id and job_id not in ("", ".", ".."):
+        return slug
+    return f"{slug}+{hashlib.sha256(job_id.encode('utf-8')).hexdigest()[:8]}"
 
 
 class ServeEngine:

@@ -30,8 +30,16 @@ through a temp file + :func:`os.replace`, so concurrent writers (e.g.
 parallel serve chains sharing one ``--cache-dir``) leave either the old
 or the new complete entry, never a torn one.
 
-The payloads are pickles: treat a cache directory like any other local
-build product and do not point ``--cache-dir`` at untrusted files.
+What a cache file may contain: a pickle of builtin dicts, lists,
+tuples, sets, strings and numbers, plus the few globals the two
+payloads use — numpy dtypes and arrays rebuilt from a raw buffer
+(numpy refuses object arrays there), and a layout's
+:class:`~repro.geometry.PositionMap`,
+:class:`~repro.core.partition.Partition` and
+:class:`~repro.core.partition.Tree`.  Loading refuses any other global
+before importing it and counts the file as ``skipped``, so a file
+planted in the directory cannot run code.  A file that passes can still
+carry well-formed wrong data, so only the service should write there.
 """
 
 from __future__ import annotations
@@ -49,6 +57,30 @@ __all__ = ["CACHE_FORMAT", "PersistentCache", "cache_fingerprint"]
 
 #: Bump when the on-disk payload layout changes; older files are skipped.
 CACHE_FORMAT = 1
+
+#: (module, name) of every global a cache file may name: what the
+#: layout payload, ``(PositionMap, Partition)``, and the route payload,
+#: edge-id arrays, pickle to.  numpy 2 moved ``_frombuffer`` from
+#: ``numpy.core`` to ``numpy._core``.
+_PAYLOAD_GLOBALS = frozenset({
+    ("numpy", "dtype"),
+    ("numpy._core.numeric", "_frombuffer"),
+    ("numpy.core.numeric", "_frombuffer"),
+    ("repro.core.partition", "Partition"),
+    ("repro.core.partition", "Tree"),
+    ("repro.geometry", "PositionMap"),
+})
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    """Unpickles a cache file, refusing globals outside
+    :data:`_PAYLOAD_GLOBALS` before they are imported or called."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in _PAYLOAD_GLOBALS:
+            raise pickle.UnpicklingError(
+                f"cache files may not name {module}.{name}")
+        return super().find_class(module, name)
 
 
 def cache_fingerprint(library: CellLibrary) -> str:
@@ -100,7 +132,7 @@ class PersistentCache:
             return None
         try:
             with open(path, "rb") as handle:
-                entry = pickle.load(handle)
+                entry = _PayloadUnpickler(handle).load()
             if (not isinstance(entry, dict)
                     or entry.get("format") != CACHE_FORMAT
                     or entry.get("fingerprint") != self.fingerprint

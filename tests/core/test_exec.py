@@ -164,6 +164,27 @@ class TestParallelKSweepDeterminism:
                        positions=positions, workers=2)
         assert [p.row() for p in points] == [p.row() for p in cold]
 
+    def test_round_bookkeeping(self, sweep_setup):
+        """Rounds [K0, K1] then [K2] report progress exactly like the
+        serial sweep, in K order, and the ``sweep`` span carries the
+        rounds' exec.* entries."""
+        base, config, floorplan, positions = sweep_setup
+        k_values = [0.0, 0.001, 0.01]
+        serial, parallel = [], []
+        k_sweep(base, floorplan, config, k_values=k_values,
+                positions=positions, workers=1, progress=serial.append)
+        tracer = Tracer("run", command="test")
+        k_sweep(base, floorplan, config, k_values=k_values,
+                positions=positions, workers=2, progress=parallel.append,
+                tracer=tracer)
+        assert parallel == serial
+        assert [line.split(":")[0] for line in parallel] == \
+            ["K=0", "K=0.001", "K=0.01"]
+        sweep = tracer.close().children[0]
+        assert sweep.name == "sweep"
+        for key in ("exec.workers", "exec.parallel"):
+            assert key in sweep.counters, key
+
     def test_instrumentation_present(self, sweep_setup):
         base, config, floorplan, positions = sweep_setup
         points = k_sweep(base, floorplan, config, k_values=[0.0, 0.001],

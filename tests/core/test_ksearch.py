@@ -148,6 +148,23 @@ class TestResultBookkeeping:
         k_points = [c for c in span.children if c.name == "k_point"]
         assert len(k_points) == result.evaluations
 
+    def test_parallel_round_bookkeeping(self, search_setup, sweep_oracle):
+        """A pool round is counted, and its exec.* entries reach both
+        the result's stats and the ``ksearch`` span."""
+        base, config, floorplan, positions = search_setup
+        _, tol, _ = sweep_oracle
+        tracer = Tracer("run", command="ksearch")
+        result = k_search(base, floorplan, config, k_values=K_GRID,
+                          positions=positions, strategy=PORTFOLIO,
+                          tolerance=tol, workers=2, tracer=tracer)
+        span = tracer.close().children[0]
+        assert result.stats["ksearch.rounds"] >= 1
+        assert span.counters["ksearch.rounds"] == \
+            result.stats["ksearch.rounds"]
+        for key in ("exec.workers", "exec.parallel"):
+            assert key in result.stats, key
+            assert key in span.counters, key
+
     def test_grid_normalized_sorted_deduped(self, search_setup, sweep_oracle):
         base, config, floorplan, positions = search_setup
         _, tol, _ = sweep_oracle

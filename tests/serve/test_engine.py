@@ -1,6 +1,7 @@
 """Tests for the batch engine: cache sharing, isolation, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -105,6 +106,20 @@ class TestStream:
             ("boom", False, "error")
         assert first["error"] == "TypeError: injected"
         assert (second["id"], second["ok"]) == ("s12", True)
+
+    def test_artifacts_one_directory_per_job_inside_dir(self, tmp_path):
+        """Ids ``..``, ``a b`` and ``a_b`` get three directories under
+        ``--artifacts DIR``, and nothing is written outside it."""
+        art = tmp_path / "art"
+        jobs = [Job(id=job_id, cmd="ksweep", source="spla@0.01", rows=12,
+                    k=(0.0,)) for job_id in ("..", "a b", "a_b")]
+        results = ServeEngine(_config(), artifacts_dir=str(art)).run(jobs)
+        assert all(r.ok for r in results)
+        assert os.listdir(tmp_path) == ["art"]
+        dirs = sorted(os.listdir(art))
+        assert len(dirs) == 3 and "a_b" in dirs
+        for name in dirs:
+            assert os.listdir(art / name), name
 
 
 class TestCacheSharing:

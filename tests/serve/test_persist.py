@@ -38,6 +38,16 @@ def _lines(results):
     return [r.to_json() for r in results]
 
 
+class _Planted:
+    """Unpickles to ``open(path, "w")``: loading it creates ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
 class TestPersistentCacheUnit:
     def test_round_trip(self, tmp_path):
         cache = PersistentCache(str(tmp_path), "fp")
@@ -89,6 +99,17 @@ class TestPersistentCacheUnit:
         # Overwriting repairs the entry.
         cache.store("layout", "k", "v2")
         assert cache.load("layout", "k") == "v2"
+
+    def test_planted_pickle_cannot_run_code(self, tmp_path):
+        """A file naming a global no payload uses is skipped before the
+        global is called."""
+        cache = PersistentCache(str(tmp_path / "cache"), "fp")
+        marker = tmp_path / "PWNED"
+        with open(cache._path("layout", "k"), "wb") as handle:
+            pickle.dump(_Planted(str(marker)), handle)
+        assert cache.load("layout", "k") is None
+        assert not marker.exists()
+        assert cache.counters()["persist_skipped"] == 1
 
     def test_unpicklable_payload_reports_false(self, tmp_path):
         cache = PersistentCache(str(tmp_path), "fp")
