@@ -256,7 +256,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          status=status, slow_job_s=args.slow_job_s)
 
     def write_metrics(_document=None) -> None:
-        stats = engine.metrics_stats()
+        stats = engine.stats()
         write_atomic_text(args.metrics_out, render_prometheus(stats))
         write_atomic_text(
             args.metrics_out + ".json",

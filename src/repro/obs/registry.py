@@ -28,10 +28,11 @@ algorithmic count.  :class:`StatsRegistry` replaces them:
                              estimated wirelengths) —
                              deterministic like ``count``
   ``metric`` float  sum      measured property of the produced
-                             solution — valid either way but may
-                             vary with the execution plan (e.g.
-                             routed wirelength under cache
-                             warm-starts)
+                             solution or the session — valid
+                             either way but may vary with the
+                             execution plan (e.g. routed
+                             wirelength under cache warm-starts,
+                             cache entry counts)
   ``work``  int     sum      work performed — varies with the
                              execution plan (cache warm-starts,
                              worker chunking) even when results
@@ -330,8 +331,9 @@ class StatsRegistry(Mapping):
         self._put(key, float(value), GAUGE)
 
     def metric(self, key: str, value: float) -> None:
-        """Record a solution metric (float) that may legitimately vary
-        with the execution plan (e.g. warm-started routes)."""
+        """Record a measured value (float) that may legitimately vary
+        with the execution plan (e.g. warm-started routes, cache entry
+        counts)."""
         self._put(key, float(value), METRIC)
 
     def work(self, key: str, value: int) -> None:

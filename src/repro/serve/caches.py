@@ -65,7 +65,7 @@ import hashlib
 import sys
 import types
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -457,56 +457,27 @@ class SessionCaches:
 
     # -- reporting -------------------------------------------------------
 
-    def counters(self) -> Dict[str, int]:
-        """Plain hit/miss/eviction snapshot plus sizes and disk-tier
-        counters (all int; see the module docstring for semantics)."""
-        out = dict(self._counts)
-        for family in FAMILIES:
-            out[f"{family}_entries"] = len(self._families[family])
-        out["evictions"] = sum(self._counts[f"{f}_evictions"]
-                               for f in FAMILIES)
-        out["cache_bytes"] = self.cache_bytes()
-        if self.persist is not None:
-            out.update(self.persist.counters())
-        else:
-            out.update({"persist_hits": 0, "persist_misses": 0,
-                        "persist_skipped": 0, "persist_writes": 0})
-        return out
-
     def stats(self) -> StatsRegistry:
-        """The snapshot as ``serve.*`` stats (for spans / ``--profile``).
+        """The hit/miss/eviction tallies, sizes and disk-tier counters
+        as ``serve.*`` stats (see the module docstring for semantics).
 
-        Hit/miss/eviction and disk-tier tallies are ``work`` (they vary
-        with the execution plan); entry counts are ``env`` facts; the
-        byte estimate is the ``serve.cache_bytes`` gauge.
+        Tallies are ``work`` (they vary with the execution plan); entry
+        counts are ``metric`` entries, which sum when the registries of
+        disjoint chain-local caches merge; the byte estimate is the
+        ``serve.cache_bytes`` gauge.
         """
-        return counters_to_stats(self.counters())
-
-
-def counters_to_stats(counts: Dict[str, int]) -> StatsRegistry:
-    """A merged counters dict (engine-level) as ``serve.*`` stats."""
-    registry = StatsRegistry()
-    for name, value in counts.items():
-        if name.endswith("_entries"):
-            registry.env(f"serve.{name}", int(value))
-        elif name == "cache_bytes":
-            registry.gauge("serve.cache_bytes", float(value))
-        else:
-            registry.work(f"serve.{name}", int(value))
-    return registry
-
-
-def merge_counters(target: Dict[str, int],
-                   sources: Iterable[Dict[str, int]]) -> Dict[str, int]:
-    """Sum counter dicts key-wise into ``target`` (missing keys added).
-
-    The engine uses this to aggregate per-chain cache counters from
-    parallel workers into one session view; summing is correct for
-    every key exported by :meth:`SessionCaches.counters` (hit/miss/
-    eviction/persist tallies, entry counts and byte estimates are all
-    additive across disjoint chain-local caches).
-    """
-    for source in sources:
-        for name, value in source.items():
-            target[name] = target.get(name, 0) + int(value)
-    return target
+        registry = StatsRegistry()
+        for name, value in self._counts.items():
+            registry.work(f"serve.{name}", value)
+        for family in FAMILIES:
+            registry.metric(f"serve.{family}_entries",
+                            len(self._families[family]))
+        registry.work("serve.evictions", sum(
+            self._counts[f"{family}_evictions"] for family in FAMILIES))
+        registry.gauge("serve.cache_bytes", self.cache_bytes())
+        persist = self.persist.counters() if self.persist is not None \
+            else {"persist_hits": 0, "persist_misses": 0,
+                  "persist_skipped": 0, "persist_writes": 0}
+        for name, value in persist.items():
+            registry.work(f"serve.{name}", value)
+        return registry

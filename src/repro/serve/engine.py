@@ -37,20 +37,28 @@ request must not take down a batch of hundreds.
 
 Live telemetry
 --------------
-The engine additionally streams **metrics** while it runs: per-job
-latency, queue wait and per-phase (map / place / route / covering DP)
-times land in fixed-bucket histograms, the estimated cache footprint
-in a rolling gauge — both kinds of the engine's one
-:class:`~repro.obs.registry.StatsRegistry` (:attr:`ServeEngine.metrics`;
-chain workers send their registries back as they are and the engine
-merges them in chain order) — and a **slow-job watchdog** counts jobs
-that blow a soft per-job deadline (``slow_job_s``) into
-``serve.slow_jobs`` with a ``slow_job`` trace event — the
-observability groundwork for admission control.  A
-:class:`~repro.serve.status.StatusWriter` (``--status-file``) gets an
-atomic heartbeat after every job and chain outcome.  None of this can
-change a result byte: telemetry is written on the side, never read
-back by the flow.
+The engine keeps one :class:`~repro.obs.registry.StatsRegistry` per
+session (:attr:`ServeEngine.metrics`).  Every finished job adds its
+tallies (``serve.jobs_done``, ``serve.jobs_ok``, ``serve.slow_jobs``
+and the point-work counters ``route.routes_reused``,
+``route.reuse_skipped``, ``cover.memo_hits`` and
+``map.match_cache_hits`` summed over its K points) and feeds the
+histograms of its latency, queue wait and per-phase (map / place /
+route / covering DP) times and the rolling gauge of the estimated
+cache footprint.  A chain worker sends back its engine's
+:meth:`ServeEngine.stats` — cache counters included — which the
+engine merges in chain order before it emits the chain's jobs in
+submission order.  :meth:`ServeEngine.stats` (the session caches'
+counters merged with :attr:`~ServeEngine.metrics`) is what
+``--metrics-out`` renders; the heartbeat, the summary and the
+``session_caches`` span are views of it, so they agree at every
+write.  The **slow-job watchdog** counts jobs that blow a soft
+per-job deadline (``slow_job_s``) into ``serve.slow_jobs`` with a
+``slow_job`` trace event — the observability groundwork for
+admission control.  A :class:`~repro.serve.status.StatusWriter`
+(``--status-file``) gets an atomic heartbeat after every job and
+chain outcome.  None of this can change a result byte: telemetry is
+written on the side, never read back by the flow.
 """
 
 from __future__ import annotations
@@ -61,7 +69,8 @@ import hashlib
 import os
 import re
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple)
 
 from ..core import (
     EvalPoint,
@@ -75,12 +84,7 @@ from ..exec import fan_out
 from ..library import library_build_stats
 from ..obs import StatsRegistry, Tracer, write_congestion_artifacts
 from ..place import Floorplan
-from .caches import (
-    CacheBounds,
-    SessionCaches,
-    counters_to_stats,
-    merge_counters,
-)
+from .caches import FAMILIES, CacheBounds, SessionCaches
 from .jobs import Job, JobResult
 from .persist import PersistentCache, cache_fingerprint
 from .scheduler import plan_chains, run_chain
@@ -88,8 +92,8 @@ from .status import STATUS_SCHEMA_VERSION, StatusWriter
 
 __all__ = ["ServeEngine"]
 
-#: Stats suffixes summed over a job's evaluated points into the
-#: engine-level cache/work tallies (all plan-dependent by design).
+#: Stats keys summed over a job's evaluated points into the engine's
+#: registry (all plan-dependent by design).
 _POINT_WORK_KEYS = ("route.routes_reused", "route.reuse_skipped",
                     "cover.memo_hits", "map.match_cache_hits")
 
@@ -99,6 +103,19 @@ _PHASE_HISTOGRAMS = (("serve.map_seconds", "map.t_total"),
                      ("serve.place_seconds", "eval.t_place"),
                      ("serve.route_seconds", "eval.t_route"),
                      ("serve.cover_seconds", "cover.t_dp"))
+
+
+def _tally(jobs: int, ok: int, slow: int,
+           points: Sequence[EvalPoint]) -> StatsRegistry:
+    """Job tallies as ``work`` stats: jobs finished, ok and slow, and
+    the :data:`_POINT_WORK_KEYS` counters summed over ``points``."""
+    tally = StatsRegistry()
+    tally.work("serve.jobs_done", jobs)
+    tally.work("serve.jobs_ok", ok)
+    tally.work("serve.slow_jobs", slow)
+    for key in _POINT_WORK_KEYS:
+        tally.work(key, sum(int(p.stats.get(key, 0)) for p in points))
+    return tally
 
 
 def _artifact_slug(job_id: str) -> str:
@@ -160,11 +177,12 @@ class ServeEngine:
             self.caches = SessionCaches(config.library, bounds=bounds,
                                         persist=persist)
         self.results: List[JobResult] = []
-        self.metrics = StatsRegistry()
-        self.slow_jobs = 0
+        #: The session's tallies and instruments, plus every parallel
+        #: chain's registry; :meth:`stats` adds this engine's caches.
+        self.metrics = _tally(0, 0, 0, ())
+        self.metrics.env("serve.serve_workers", self.serve_workers)
+        self.metrics.env("serve.workers", self.workers)
         self._t_jobs: List[dict] = []
-        self._work = {key: 0 for key in _POINT_WORK_KEYS}
-        self._chain_counters: Dict[str, int] = {}
         self._t_wall = 0.0
         self._t_run = 0.0
         self._t_accept: Optional[float] = None
@@ -195,25 +213,30 @@ class ServeEngine:
         # disk tier) before the next job.
         self.caches.sync()
         t_job = time.perf_counter() - t0
-        for point in points:
-            for key in _POINT_WORK_KEYS:
-                self._work[key] += int(point.stats.get(key, 0))
         if self.artifacts_dir and points:
             write_congestion_artifacts(
                 points,
                 os.path.join(self.artifacts_dir, _artifact_slug(job.id)))
-        self._t_jobs.append({"id": job.id, "cmd": job.cmd, "ok": result.ok,
-                             "t_s": t_job})
-        self._t_wall += t_job
-        self.results.append(result)
-        self._observe_job(job, points, t_job, queue_wait=t0 - self._t_accept)
+        self._emit(result, t_job)
+        self._observe_job(result, points, t_job,
+                          queue_wait=t0 - self._t_accept)
         if self.status is not None:
             self.status.update(self.heartbeat())
         return result, points
 
-    def _observe_job(self, job: Job, points: List[Any], t_job: float,
-                     queue_wait: float) -> None:
-        """Feed one finished job into the streaming instruments."""
+    def _emit(self, result: JobResult, t_job: float) -> None:
+        """Record one finished job in :attr:`results` and the per-job
+        timings; callers emit jobs in submission order."""
+        self._t_jobs.append({"id": result.id, "cmd": result.cmd,
+                             "ok": result.ok, "t_s": t_job})
+        self._t_wall += t_job
+        self.results.append(result)
+
+    def _observe_job(self, result: JobResult, points: List[Any],
+                     t_job: float, queue_wait: float) -> None:
+        """Feed one finished job into the tallies and instruments."""
+        slow = bool(self.slow_job_s) and t_job > self.slow_job_s
+        self.metrics.merge(_tally(1, int(result.ok), int(slow), points))
         self.metrics.observe("serve.job_seconds", t_job)
         self.metrics.observe("serve.queue_wait_seconds", max(0.0,
                                                              queue_wait))
@@ -223,13 +246,11 @@ class ServeEngine:
                 self.metrics.observe(key, seconds)
         self.metrics.record("serve.cache_bytes_recent",
                             float(self.caches.cache_bytes()))
-        if self.slow_job_s and t_job > self.slow_job_s:
-            self.slow_jobs += 1
-            if self.tracer is not None:
-                with self.tracer.span("slow_job", id=job.id,
-                                      deadline_s=self.slow_job_s,
-                                      t_s=round(t_job, 6)):
-                    pass
+        if slow and self.tracer is not None:
+            with self.tracer.span("slow_job", id=result.id,
+                                  deadline_s=self.slow_job_s,
+                                  t_s=round(t_job, 6)):
+                pass
 
     def _dispatch(self, job: Job):
         """Run the job's entry point; returns (result, evaluated points)."""
@@ -288,29 +309,30 @@ class ServeEngine:
         if self._t_accept is None:
             self._t_accept = t0
         self._jobs_total += len(jobs)
+        start = len(self.results)
         if self.serve_workers > 1 and len(jobs) > 1:
-            out = self._run_parallel(jobs, on_result)
+            self._run_parallel(jobs, on_result)
         else:
-            out = []
             for job in jobs:
                 result, _points = self.run_job(job)
-                out.append(result)
                 if on_result is not None:
                     on_result(result)
         self._t_run += time.perf_counter() - t0
         if self.status is not None:
             self.status.update(self.heartbeat(state="done"), force=True)
-        return out
+        return self.results[start:]
 
     def _run_parallel(self, jobs: List[Job],
                       on_result: Optional[Callable[[JobResult], None]]
-                      ) -> List[JobResult]:
+                      ) -> None:
         """Fan affinity chains out over the process pool.
 
         Chains come back in chain-index order (ordered streaming), and
         chain 0 holds submission index 0, so buffering per-job results
         until their submission index is next reproduces the sequential
-        emission order exactly.
+        emission order exactly.  A chain's registry is merged when it
+        arrives, so a heartbeat's job tallies count its buffered jobs
+        too.
         """
         chains = plan_chains(jobs)
         payload = (self.config, self.workers, self.bounds, self.cache_dir,
@@ -319,9 +341,7 @@ class ServeEngine:
         tasks = [(index, tuple((i, jobs[i]) for i in chain))
                  for index, chain in enumerate(chains)]
 
-        pending: Dict[int, JobResult] = {}
-        ordered: List[JobResult] = []
-        timings: List[dict] = []
+        pending: Dict[int, Tuple[JobResult, float]] = {}
         next_emit = 0
         chains_done = 0
 
@@ -330,27 +350,19 @@ class ServeEngine:
             chains_done += 1
             if self.tracer is not None:
                 self.tracer.adopt(outcome.span)
-            merge_counters(self._chain_counters, [outcome.counters])
-            for key, value in outcome.work.items():
-                self._work[key] = self._work.get(key, 0) + int(value)
             # Chain outcomes arrive in chain-index order (ordered
             # streaming), so this merge order is deterministic.
-            self.metrics.merge(outcome.metrics)
-            self.slow_jobs += outcome.slow_jobs
-            timings.extend(outcome.per_job)
-            for index, result in outcome.results:
-                pending[index] = result
+            self.metrics.merge(outcome.stats)
+            for index, result, t_job in outcome.results:
+                pending[index] = (result, t_job)
             while next_emit in pending:
-                result = pending.pop(next_emit)
-                ordered.append(result)
+                result, t_job = pending.pop(next_emit)
+                self._emit(result, t_job)
                 if on_result is not None:
                     on_result(result)
                 next_emit += 1
             if self.status is not None:
-                received = ordered + list(pending.values())
                 self.status.update(self.heartbeat(
-                    jobs_done=len(received),
-                    ok=sum(1 for r in received if r.ok),
                     in_flight_chains=len(chains) - chains_done))
 
         exec_stats = StatsRegistry()
@@ -358,33 +370,56 @@ class ServeEngine:
                 stats=exec_stats, tracer=self.tracer, on_result=collect)
         if exec_stats.get("exec.fallback", 0):
             self._pool_fallbacks += 1
-        by_id = {entry["id"]: entry for entry in timings}
-        for result in ordered:
-            entry = by_id.get(result.id, {"id": result.id,
-                                          "cmd": result.cmd,
-                                          "ok": result.ok, "t_s": 0.0})
-            self._t_jobs.append(entry)
-            self._t_wall += entry["t_s"]
-        self.results.extend(ordered)
-        return ordered
 
     # -- reporting -------------------------------------------------------
 
-    def work_counters(self) -> Dict[str, int]:
-        """The per-point work tallies summed over this engine's jobs."""
-        return dict(self._work)
+    def stats(self) -> StatsRegistry:
+        """The session's one registry: what ``--metrics-out`` renders.
+
+        This engine's cache counters merged with :attr:`metrics`: the
+        job tallies, the point-work counters, the worker counts, the
+        instruments and, under ``serve_workers > 1``, every chain's
+        registry, whose chain-local cache counters sum into this
+        engine's (so hit/miss/eviction/persistence arithmetic holds
+        across scheduling modes).  The heartbeat, the summary and the
+        ``session_caches`` span are views of it.
+        """
+        registry = self.caches.stats()
+        registry.merge(self.metrics)
+        return registry
+
+    def _cache_stats(self, stats: StatsRegistry) -> StatsRegistry:
+        """The session-cache entries of ``stats``, kinds kept."""
+        view = StatsRegistry()
+        for key, kind in self.caches.stats().kinds().items():
+            # Each scalar kind is written by the method of its name.
+            getattr(view, kind)(key, stats[key])
+        return view
+
+    def _cache_view(self, stats: StatsRegistry) -> tuple:
+        """(the ``cache`` object, per-family hit rates) of ``stats``.
+
+        The object holds the session-cache counters by bare name, the
+        point-work counters by key, and the process-wide library
+        build-memo counters.
+        """
+        cache = {key.split(".", 1)[1]: int(value) for key, value
+                 in self._cache_stats(stats).items()}
+        cache.update((key, int(stats[key])) for key in _POINT_WORK_KEYS)
+        lib = library_build_stats()
+        cache["library_build_hits"] = int(lib["library.build_hits"])
+        cache["library_build_misses"] = int(lib["library.build_misses"])
+        rates = {}
+        for family in FAMILIES + ("library_build",):
+            hits = cache[f"{family}_hits"]
+            total = hits + cache[f"{family}_misses"]
+            rates[family] = (hits / total) if total else 0.0
+        return cache, rates
 
     def cache_counters(self) -> Dict[str, int]:
-        """The session-cache counters, including parallel chains.
-
-        Sequentially executed jobs hit this engine's own caches;
-        chains executed by ``serve_workers > 1`` ran over chain-local
-        caches whose counters were merged back — this view sums both,
-        so hit/miss/eviction/persistence arithmetic holds across
-        scheduling modes.
-        """
-        counters = self.caches.counters()
-        return merge_counters(counters, [self._chain_counters])
+        """The ``cache`` object of the heartbeat and the summary
+        (``<family>_hits``, ``<family>_misses``, ...)."""
+        return self._cache_view(self.stats())[0]
 
     def finish(self) -> None:
         """Attach the end-of-session cache stats to the trace (idempotent).
@@ -398,38 +433,21 @@ class ServeEngine:
             return
         self._finished = True
         with self.tracer.span("session_caches") as span:
-            span.counters.absorb(counters_to_stats(self.cache_counters()))
-
-    def _cache_view(self) -> tuple:
-        """(cache counters incl. work/library tallies, per-family rates)."""
-        cache = self.cache_counters()
-        cache.update(self._work)
-        lib = library_build_stats()
-        cache["library_build_hits"] = int(lib["library.build_hits"])
-        cache["library_build_misses"] = int(lib["library.build_misses"])
-        rates = {}
-        for family in ("netlist", "layout", "matcher", "route_pool",
-                       "library_build"):
-            hits = cache[f"{family}_hits"]
-            total = hits + cache[f"{family}_misses"]
-            rates[family] = (hits / total) if total else 0.0
-        return cache, rates
+            span.counters.absorb(self._cache_stats(self.stats()))
 
     def heartbeat(self, state: str = "running",
-                  jobs_done: Optional[int] = None,
-                  ok: Optional[int] = None,
                   in_flight_chains: int = 0) -> dict:
         """One live-status document (see :mod:`repro.serve.status`).
 
-        Defaults report the jobs already appended to :attr:`results`;
-        the parallel scheduler passes explicit tallies because chain
-        results buffer outside ``results`` until emission.
+        Read from :meth:`stats`, so its job tallies are the ones
+        ``--metrics-out`` renders at the same moment; under parallel
+        scheduling they include jobs whose chain has returned but that
+        wait, buffered, for an earlier submission index.
         """
-        if jobs_done is None:
-            jobs_done = len(self.results)
-        if ok is None:
-            ok = sum(1 for r in self.results if r.ok)
-        cache, rates = self._cache_view()
+        stats = self.stats()
+        cache, rates = self._cache_view(stats)
+        jobs_done = stats["serve.jobs_done"]
+        ok = stats["serve.jobs_ok"]
         last = self._t_jobs[-1] if self._t_jobs else None
         return {
             "schema_version": STATUS_SCHEMA_VERSION,
@@ -442,31 +460,14 @@ class ServeEngine:
             "ok": ok,
             "failed": jobs_done - ok,
             "in_flight_chains": in_flight_chains,
-            "slow_jobs": self.slow_jobs,
+            "slow_jobs": stats["serve.slow_jobs"],
             "serve_workers": self.serve_workers,
             "cache": cache,
             "cache_hit_rates": rates,
             "instruments": {key: inst.snapshot() for key, inst
-                            in self.metrics.instruments().items()},
+                            in stats.instruments().items()},
             "last_job": dict(last) if last else None,
         }
-
-    def metrics_stats(self) -> StatsRegistry:
-        """The session's telemetry as one ``serve.*`` stats registry.
-
-        The session-cache counters (via :func:`counters_to_stats`),
-        the job tallies and the watchdog counter, then the instruments
-        of :attr:`metrics` — everything ``--metrics-out`` renders.
-        """
-        registry = counters_to_stats(self.cache_counters())
-        registry.work("serve.jobs_done", len(self.results))
-        registry.work("serve.jobs_ok",
-                      sum(1 for r in self.results if r.ok))
-        registry.work("serve.slow_jobs", self.slow_jobs)
-        registry.env("serve.serve_workers", self.serve_workers)
-        registry.env("serve.workers", self.workers)
-        registry.absorb(self.metrics)
-        return registry
 
     def summary(self) -> dict:
         """Machine-readable session summary (plan-dependent numbers).
@@ -478,16 +479,17 @@ class ServeEngine:
         run to run; the deterministic payload is the result lines
         themselves.
         """
-        cache, rates = self._cache_view()
+        stats = self.stats()
+        cache, rates = self._cache_view(stats)
         n = len(self.results)
         t_rate = self._t_run if self._t_run > 0 else self._t_wall
         return {
             "jobs": n,
-            "ok": sum(1 for r in self.results if r.ok),
+            "ok": stats["serve.jobs_ok"],
             "workers": self.workers,
             "serve_workers": self.serve_workers,
             "pool_fallbacks": self._pool_fallbacks,
-            "slow_jobs": self.slow_jobs,
+            "slow_jobs": stats["serve.slow_jobs"],
             "t_jobs_s": self._t_wall,
             "t_run_s": self._t_run,
             "jobs_per_sec": (n / t_rate) if t_rate > 0 else 0.0,

@@ -26,9 +26,10 @@ checked on load:
 A guard miss, a truncated file, or any unpickling error counts as
 ``skipped`` and behaves exactly like a cache miss: the caller
 recomputes and overwrites.  Corruption is *never* fatal.  Writes go
-through a temp file + :func:`os.replace`, so concurrent writers (e.g.
-parallel serve chains sharing one ``--cache-dir``) leave either the old
-or the new complete entry, never a torn one.
+through :func:`~repro.serve.status.write_atomic_text` (a temp file +
+:func:`os.replace`), so concurrent writers (e.g. parallel serve chains
+sharing one ``--cache-dir``) leave either the old or the new complete
+entry, never a torn one.
 
 What a cache file may contain: a pickle of builtin dicts, lists,
 tuples, sets, strings and numbers, plus the few globals the two
@@ -47,11 +48,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from typing import Any, Dict, Optional
 
 from .. import __version__
 from ..library.cell import CellLibrary
+from .status import write_atomic_text
 
 __all__ = ["CACHE_FORMAT", "PersistentCache", "cache_fingerprint"]
 
@@ -161,21 +162,9 @@ class PersistentCache:
         """
         entry = {"format": CACHE_FORMAT, "fingerprint": self.fingerprint,
                  "kind": kind, "key": repr(key), "payload": payload}
-        path = self._path(kind, key)
         try:
-            fd, tmp = tempfile.mkstemp(dir=self.directory,
-                                       prefix=".tmp-", suffix=".pkl")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(entry, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic_text(self._path(kind, key), pickle.dumps(
+                entry, protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:
             return False
         self._counts["persist_writes"] += 1

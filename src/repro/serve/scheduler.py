@@ -35,7 +35,7 @@ ones.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs.registry import StatsRegistry
 from ..obs.tracer import Span, Tracer
@@ -84,27 +84,16 @@ def plan_chains(jobs: Sequence[Job]) -> List[List[int]]:
     return [chains[key] for key in order]
 
 
-class ChainOutcome:
+class ChainOutcome(NamedTuple):
     """What one executed chain sends back to the scheduling engine."""
 
-    __slots__ = ("chain_index", "results", "counters", "per_job", "work",
-                 "span", "metrics", "slow_jobs")
-
-    def __init__(self, chain_index: int,
-                 results: List[Tuple[int, JobResult]],
-                 counters: Dict[str, int], per_job: List[dict],
-                 work: Dict[str, int], span: Optional[Span],
-                 metrics: StatsRegistry, slow_jobs: int):  # noqa: D107
-        self.chain_index = chain_index
-        #: (submission index, result) pairs, in chain (= submission) order.
-        self.results = results
-        self.counters = counters
-        self.per_job = per_job
-        self.work = work
-        self.span = span
-        #: The chain engine's instruments (its ``metrics`` registry).
-        self.metrics = metrics
-        self.slow_jobs = slow_jobs
+    #: (submission index, result, job seconds), in chain (= submission)
+    #: order.
+    results: List[Tuple[int, JobResult, float]]
+    #: The chain engine's one registry (:meth:`ServeEngine.stats`).
+    stats: StatsRegistry
+    #: The chain's detached trace, when the parent traces.
+    span: Optional[Span]
 
 
 def run_chain(payload: Any, task: Tuple[int, Tuple[Tuple[int, Job], ...]]
@@ -117,8 +106,8 @@ def run_chain(payload: Any, task: Tuple[int, Tuple[Tuple[int, Job], ...]]
     pairs.  The chain gets a private single-threaded engine over
     chain-local caches; its trace (when the parent traces) comes back
     as a detached span for :meth:`repro.obs.tracer.Tracer.adopt`, its
-    instruments as the registry itself, which the engine merges in
-    chain order.
+    counters and instruments as the engine's one registry, which the
+    parent engine merges in chain order.
     """
     from .engine import ServeEngine
 
@@ -132,13 +121,8 @@ def run_chain(payload: Any, task: Tuple[int, Tuple[Tuple[int, Job], ...]]
                          cache_dir=cache_dir, slow_job_s=slow_job_s)
     results = engine.run([job for _, job in indexed_jobs])
     span = tracer.close() if tracer is not None else None
+    timings = engine.summary()["per_job"]
     return ChainOutcome(
-        chain_index,
-        [(index, result) for (index, _), result
-         in zip(indexed_jobs, results)],
-        engine.caches.counters(),
-        [dict(entry) for entry in engine.summary()["per_job"]],
-        dict(engine.work_counters()),
-        span,
-        metrics=engine.metrics,
-        slow_jobs=engine.slow_jobs)
+        [(index, result, timing["t_s"]) for (index, _), result, timing
+         in zip(indexed_jobs, results, timings)],
+        engine.stats(), span)

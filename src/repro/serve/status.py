@@ -29,7 +29,7 @@ Heartbeat schema (``schema_version`` 1)::
       "jobs_done": 5, "ok": 5, "failed": 0,
       "in_flight_chains": 2,           # parallel scheduling only
       "slow_jobs": 0,                  # soft-deadline watchdog trips
-      "cache": {...},                  # SessionCaches counters
+      "cache": {...},                  # cache view of ServeEngine.stats()
       "cache_hit_rates": {...},        # per family, 0..1
       "instruments": {...},            # {key: instrument.snapshot()}
       "last_job": {"id": ..., "cmd": ..., "ok": ..., "t_s": ...}
@@ -48,7 +48,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 __all__ = ["STATUS_SCHEMA_VERSION", "StatusWriter", "follow",
            "is_end_marker", "write_atomic_json", "write_atomic_text"]
@@ -57,17 +57,21 @@ __all__ = ["STATUS_SCHEMA_VERSION", "StatusWriter", "follow",
 STATUS_SCHEMA_VERSION = 1
 
 
-def write_atomic_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` so readers never see a torn file.
+def write_atomic_text(path: str, text: Union[str, bytes]) -> None:
+    """Write ``text`` (str or bytes) to ``path`` so readers never see a
+    torn file.
 
     The temp file lives in the target directory (``os.replace`` must
-    not cross filesystems).
+    not cross filesystems) and is removed if the write fails.  It is a
+    dot file named ``.tmp-*``, so a glob for the targets (such as a
+    cache's ``layout-*.pkl``) never sees it.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(prefix=".status-", dir=directory)
+    fd, tmp_path = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") \
+                as handle:
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:

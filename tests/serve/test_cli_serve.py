@@ -247,12 +247,67 @@ class TestServeTelemetry:
             name = "repro_" + key.replace(".", "_")
             assert families[name]["samples"][name] == \
                 pytest.approx(float(value), rel=1e-5), key
-        instruments = json.loads(status.read_text())["instruments"]
+        heartbeat = json.loads(status.read_text())
+        instruments = heartbeat["instruments"]
         assert len(instruments) == 7
         prom_type = {"hist": "histogram", "rolling": "gauge"}
         for key, snapshot in instruments.items():
             name = "repro_" + key.replace(".", "_")
             assert families[name]["type"] == prom_type[snapshot["kind"]]
+        # Every cache counter but the process-wide library build memo:
+        # bare keys are ``serve.*`` entries, dotted keys point work.
+        for key, value in heartbeat["cache"].items():
+            if key.startswith("library_build_"):
+                continue
+            name = "repro_" + (key if "." in key else "serve." + key) \
+                .replace(".", "_")
+            assert families[name]["samples"][name] == value, key
+
+    def test_live_heartbeats_agree_with_metrics(self, tmp_path,
+                                                monkeypatch):
+        """Under ``--serve-workers 2`` each live heartbeat names the
+        last emitted job, and the metrics written right after it carry
+        the same job tallies."""
+        import repro.cli
+        import repro.serve.status
+        from repro.obs import parse_prometheus
+        status = tmp_path / "status.json"
+        metrics = tmp_path / "metrics.prom"
+        writes = []
+        write_json = repro.serve.status.write_atomic_json
+        write_text = repro.cli.write_atomic_text
+
+        def heartbeat(path, document):
+            writes.append(("heartbeat", document))
+            write_json(path, document)
+
+        def metrics_text(path, text):
+            if path == str(metrics):
+                writes.append(("metrics", parse_prometheus(text)))
+            write_text(path, text)
+
+        monkeypatch.setattr(repro.serve.status, "write_atomic_json",
+                            heartbeat)
+        monkeypatch.setattr(repro.cli, "write_atomic_text", metrics_text)
+        self._run(tmp_path, "live",
+                  ["--serve-workers", "2", "--status-file", str(status),
+                   "--metrics-out", str(metrics),
+                   "--slow-job-s", "0.000001"])
+        pairs = [(doc, families) for (kind, doc), (then, families)
+                 in zip(writes, writes[1:])
+                 if kind == "heartbeat" and then == "metrics"]
+        # Two chains (rows 12 and 13): one live heartbeat each, then
+        # the final one.
+        assert [doc["state"] for doc, _ in pairs] == \
+            ["running", "running", "done"]
+        for doc, families in pairs:
+            assert doc["last_job"] is not None
+            for field, key in (("jobs_done", "jobs_done"),
+                               ("ok", "jobs_ok"),
+                               ("slow_jobs", "slow_jobs")):
+                name = f"repro_serve_{key}"
+                assert families[name]["samples"][name] == doc[field], \
+                    (field, doc["state"])
 
     def test_follow_subcommand_drains_results(self, tmp_path, capsys):
         self._run(tmp_path, "follow", [])

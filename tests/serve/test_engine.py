@@ -125,7 +125,7 @@ class TestStream:
 class TestCacheSharing:
     def test_repeat_job_hits_every_family(self, warm_run):
         engine, _ = warm_run
-        counters = engine.caches.counters()
+        counters = engine.caches.stats()
         # s12b repeats s12 exactly; s13/f12 share netlist + matcher too.
         assert counters["netlist_misses"] == 1
         assert counters["netlist_hits"] == 3
@@ -237,7 +237,7 @@ class TestSessionCachesUnit:
         assert key1 == key2
         assert network1 is network2
         assert base1 is base2
-        assert caches.counters()["netlist_hits"] == 1
+        assert caches.stats()["netlist_hits"] == 1
 
     def test_stats_registry_names(self):
         caches = SessionCaches(CORELIB018)

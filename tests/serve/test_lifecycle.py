@@ -43,7 +43,7 @@ class TestEntryBounds:
         for net, floorplan in keys:
             caches.route_pool(net, floorplan)
             assert len(caches.route_pool_keys) <= 8
-        counters = caches.counters()
+        counters = caches.stats()
         accesses = len(keys)
         # hits + misses == accesses; inserts == misses; whatever was
         # inserted is either still resident or was evicted.
@@ -59,7 +59,7 @@ class TestEntryBounds:
         caches = SessionCaches(CORELIB018)
         for net, floorplan in _mixed_keys(100):
             caches.route_pool(net, floorplan)
-        assert caches.counters()["evictions"] == 0
+        assert caches.stats()["evictions"] == 0
 
     def test_lru_evicts_least_recently_used(self):
         caches = SessionCaches(CORELIB018, bounds=CacheBounds(max_entries=2))
@@ -79,7 +79,7 @@ class TestByteBounds:
         for i in range(20):
             caches._put("layout", f"k{i}", np.zeros(4096))  # ~32 KiB each
             assert caches.cache_bytes() <= bounds.max_bytes
-        counters = caches.counters()
+        counters = caches.stats()
         assert counters["layout_evictions"] == 20 - \
             counters["layout_entries"]
         # The survivors are exactly the most recent insertions.
@@ -95,13 +95,13 @@ class TestByteBounds:
         caches._put("route_pool", "newer", np.zeros(4096))
         # 96 KiB total: the globally oldest entry goes first.
         assert "old" not in caches._families["layout"]
-        assert caches.counters()["layout_evictions"] == 1
+        assert caches.stats()["layout_evictions"] == 1
 
     def test_counters_report_cache_bytes(self):
         caches = SessionCaches(CORELIB018)
-        assert caches.counters()["cache_bytes"] == 0
+        assert caches.stats()["cache_bytes"] == 0
         caches._put("layout", "k", np.zeros(1024))
-        assert caches.counters()["cache_bytes"] >= 8192
+        assert caches.stats()["cache_bytes"] >= 8192
 
     def test_stats_kinds(self):
         caches = SessionCaches(CORELIB018,
@@ -145,10 +145,10 @@ class TestGrowingMatchers:
                                bounds=CacheBounds(max_bytes=limit))
         matcher = caches.matcher("k", base)
         map_network(base, CORELIB018, matcher=matcher)
-        assert caches.counters()["matcher_entries"] == 1
+        assert caches.stats()["matcher_entries"] == 1
         assert approx_nbytes(matcher) > limit
         caches.sync()
-        counters = caches.counters()
+        counters = caches.stats()
         assert counters["matcher_evictions"] == 1
         assert counters["matcher_entries"] == 0
         assert counters["cache_bytes"] <= limit

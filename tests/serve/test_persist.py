@@ -118,6 +118,18 @@ class TestPersistentCacheUnit:
         assert not [name for name in os.listdir(tmp_path)
                     if not name.startswith(".")]
 
+    def test_failed_replace_reports_false_and_leaves_nothing(
+            self, tmp_path, monkeypatch):
+        cache = PersistentCache(str(tmp_path), "fp")
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert cache.store("layout", "k", {"x": [1, 2, 3]}) is False
+        assert cache.counters()["persist_writes"] == 0
+        assert os.listdir(tmp_path) == []
+
     def test_fingerprint_covers_library_content(self):
         assert cache_fingerprint(CORELIB018) == \
             cache_fingerprint(CORELIB018)
