@@ -36,10 +36,9 @@ An arrival-time estimate rides along for the delay objective.
 
 from __future__ import annotations
 
-import bisect as _bisect
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Generator, List, Optional, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, Generator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 import numpy as np
 
@@ -69,16 +68,121 @@ class Solution:
 
 
 class TreeCover:
-    """The covering result for one subject tree."""
+    """The covering result for one subject tree, with its DP record."""
 
     def __init__(self, tree: Tree,
-                 solutions: Dict[Tuple[int, bool], Solution]):  # noqa: D107
+                 solutions: Dict[Tuple[int, bool], Solution],
+                 record: "CoverRecord"):  # noqa: D107
         self.tree = tree
         self.solutions = solutions
+        self.record = record
 
     def root_solution(self) -> Solution:
         """The committed solution: the root in positive phase."""
         return self.solutions[(self.tree.root, POS)]
+
+
+class CoverRecord(NamedTuple):
+    """What one covering DP scored and chose, everything but K.
+
+    Over every candidate match the DP scored, in its scan order
+    (members ascending, each vertex's POS matches before its NEG ones):
+
+    * ``primary``: the objective's primary term (AREA, or the arrival
+      in delay mode) and ``wire``: the scored WIRE, both float64;
+    * ``starts``: the first candidate of each non-empty (vertex, phase)
+      slice, and ``chosen``: the slice's first-occurrence argmin;
+    * ``pairs``: the POS slices whose vertex has a NEG slice too (it
+      follows), and ``converted``: whether the inverter conversion beat
+      the match-based winner, into POS for each pair, then into NEG;
+      ``inv_term`` is what a conversion adds to the primary term (the
+      inverter's area, or its delay).
+    """
+
+    primary: np.ndarray
+    wire: np.ndarray
+    starts: np.ndarray
+    chosen: np.ndarray
+    pairs: np.ndarray
+    converted: np.ndarray
+    inv_term: float
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the record's arrays."""
+        return sum(a.nbytes for a in self[:-1])
+
+    def reproduces(self, objective: CoverObjective) -> bool:
+        """Whether the DP at ``objective.k`` makes every recorded choice.
+
+        Costs are recomputed with the DP's own expression
+        (``objective.cost``: primary + K·WIRE in both modes) over the
+        recorded figures.  A candidate's figures depend only on the
+        choices below it, so if every choice holds, by induction from
+        the leaves up the figures are the DP's own inputs at this K
+        and the DP would rebuild the recorded cover exactly (its
+        scalar ``cost`` fields aside).
+        """
+        primary, wire, starts, chosen = (self.primary, self.wire,
+                                         self.starts, self.chosen)
+        n = len(primary)
+        cost = objective.cost(primary, wire, primary)
+        least = np.repeat(np.minimum.reduceat(cost, starts),
+                          np.diff(starts, append=n))
+        first = np.minimum.reduceat(
+            np.where(cost == least, np.arange(n), n), starts)
+        if not np.array_equal(first, chosen):
+            return False
+        if not len(self.pairs):
+            return True
+        pos, neg = chosen[self.pairs], chosen[self.pairs + 1]
+        source = np.concatenate((neg, pos))
+        converted = primary[source] + self.inv_term
+        won = (objective.cost(converted, wire[source], converted)
+               < cost[np.concatenate((pos, neg))])
+        return bool(np.array_equal(won, self.converted))
+
+
+class _RecordBuilder:
+    """Collects a :class:`CoverRecord` while a DP scans its vertices."""
+
+    def __init__(self) -> None:  # noqa: D107
+        self.primary: List[np.ndarray] = []
+        self.wire: List[np.ndarray] = []
+        self.starts: List[int] = []
+        self.chosen: List[int] = []
+        self.pairs: List[int] = []
+        self.into = ([], [])  # conversion won: into POS, into NEG
+        self.n = 0
+
+    def vertex(self, primary: np.ndarray, wire: np.ndarray, pos_count: int,
+               best: Dict[bool, Optional[int]],
+               converted: Tuple[bool, bool]) -> None:
+        """One vertex: its candidates' figures (POS first), the index of
+        each phase's winner within its slice, and the conversions."""
+        base = self.n
+        if pos_count:
+            self.starts.append(base)
+            self.chosen.append(base + best[POS])
+        if len(primary) > pos_count:
+            if pos_count:
+                self.pairs.append(len(self.starts) - 1)
+                self.into[0].append(converted[0])
+                self.into[1].append(converted[1])
+            self.starts.append(base + pos_count)
+            self.chosen.append(base + pos_count + best[NEG])
+        self.primary.append(primary)
+        self.wire.append(wire)
+        self.n = base + len(primary)
+
+    def finish(self, inv_term: float) -> CoverRecord:
+        """The record of the scanned tree."""
+        return CoverRecord(
+            np.concatenate(self.primary), np.concatenate(self.wire),
+            np.array(self.starts, dtype=np.intp),
+            np.array(self.chosen, dtype=np.intp),
+            np.array(self.pairs, dtype=np.intp),
+            np.array(self.into[0] + self.into[1], dtype=bool), inv_term)
 
 
 class BoundaryInfo:
@@ -140,98 +244,60 @@ def run_on_stack(walk: Generator[Any, Any, Any]) -> Any:
             value = None
 
 
-def _assignment_fingerprint(cover: TreeCover,
-                            is_shared: Callable[[int], bool]) -> Tuple:
-    """Canonical description of the realized assignment of a cover.
-
-    Serialises the chosen-solution tree reachable from the root's
-    positive phase: match choices (cell name + pin-to-leaf bindings),
-    inverter phase conversions, and shared-leaf references (the
-    terminals).  Everything the netlist builder commits — instances,
-    connectivity, centers of mass, the boundary figures — is a pure
-    function of this fingerprint plus the DP-input signature, so two
-    covers with equal fingerprints under equal signatures realise
-    identically.
-    """
-    root = cover.solutions[(cover.tree.root, POS)]
-    return run_on_stack(_solution_fingerprint(root, cover, is_shared, {}))
-
-
-def _solution_fingerprint(sol: Solution, cover: TreeCover,
-                          is_shared: Callable[[int], bool],
-                          memo: Dict[Tuple[int, bool], Tuple]
-                          ) -> Generator[Any, Tuple, Tuple]:
-    """Walk step of :func:`_assignment_fingerprint` for one solution.
-
-    Module-level, not a closure: a self-referencing closure would make
-    every fingerprint a reference cycle holding the tree's probe, and
-    with it the whole matcher, until the next full garbage collection.
-    """
-    if sol.match is None:
-        if sol.inv_source is None:
-            raise MappingError("conversion solution without a source")
-        return ("i", (yield _solution_fingerprint(sol.inv_source, cover,
-                                                  is_shared, memo)))
-    m = sol.match
-    pins = []
-    for pin, (u, ph) in m.leaves:
-        if is_shared(u):
-            ref = ("s", u, ph)
-        else:
-            ref = memo.get((u, ph))
-            if ref is None:
-                ref = yield _solution_fingerprint(cover.solutions[(u, ph)],
-                                                  cover, is_shared, memo)
-                memo[(u, ph)] = ref
-        pins.append((pin, ref))
-    return ("m", m.cell.name, m.phase, tuple(pins))
+#: What one cover-memo store adds to :attr:`Matcher.memo_nbytes` beside
+#: its record's arrays: a fixed part (the entry, the signature, the
+#: tree's shared references) and a part per solution of the stored
+#: cover, fitted like the matcher's own weights.
+_STORE_NBYTES = 7500
+_SOLUTION_NBYTES = 460
 
 
 class CoverMemo:
-    """Cross-K covering-DP reuse (the parametric-optimisation memo).
+    """Cross-K covering-DP reuse: re-score stored covers at a new K.
 
-    For a fixed subject tree and fixed DP inputs other than K — the
-    match lists, the member positions, the boundary figures of every
-    shared leaf any candidate can reference — the total cost of a full
-    cover assignment is *affine in K* (``cost = AREA + K·WIRE``,
-    Eq. 5; in delay mode ``arrival + K·WIRE``, equally affine), so the
-    DP optimum over assignments is the lower envelope of a family of
-    lines: concave, piecewise linear in K.  If the DP returned the
-    *same* assignment at K₁ and at K₂ > K₁, that assignment is optimal
-    throughout [K₁, K₂] and a probe at any interior K can reuse the
-    stored cover without re-running the DP.
+    Fix a subject tree and every DP input other than K — the match
+    lists, the member positions, the boundary figures of every shared
+    leaf any candidate can reference; together the *signature*.  Then
+    K enters the DP only through ``objective.cost``: a candidate's
+    primary term (AREA, or its arrival in delay mode) and scored WIRE
+    are functions of the choices made below it.  Each DP therefore
+    leaves a :class:`CoverRecord` of those figures and of its choices,
+    and :meth:`CoverRecord.reproduces` re-scores them at another K with
+    one segmented argmin and the two conversion comparisons.  When
+    every choice holds, the DP at that K would rebuild the stored cover
+    bit for bit, so it is reused; no envelope or tie argument is
+    needed.
 
-    The memo stores, per tree and per DP-input signature, the evaluated
-    ``(K, assignment fingerprint, cover)`` triples in K order.  A
-    lookup hits when its K was evaluated exactly, or when the two
-    bracketing evaluated Ks carry equal fingerprints.  Ascending walks
-    (sweeps, the Figure 3 loop) never have a right bracket, so they
-    never hit; the memo pays off in the bracketing searches of
-    :mod:`repro.core.ksearch`, which probe interior Ks by construction.
-    Exact cost ties between *distinct* assignments are the one case the
-    affine argument does not pin down; the DP's deterministic scan
-    order resolves such ties identically at every K where they hold,
-    and the equivalence tests assert memo-on runs bit-identical to
-    memo-off runs.
+    The memo keeps, per tree and signature, the ``(record, cover)`` of
+    every K the DP or a re-score settled.  A lookup at a settled K hits
+    outright; otherwise it re-scores the covers of the nearest settled
+    Ks below and above, in that order, and files a reproduced one under
+    its own K too.  Sweeps and the Figure 3 loop walk K upward, so the
+    cover just below is the last one mapped, and the DP runs only on
+    trees whose choices moved (or whose signature changed because an
+    earlier tree's did); bracketing K searches re-score from both sides.
 
     One memo hangs off each :class:`Matcher` (created by the mapper,
-    like the matcher's vertex tables).  The memo itself never queries
-    the matcher — shared-leaf reference sets are read from the vertex
-    tables of *peeked* match lists at store time, right after a DP
-    ran — and the mapper credits each hit with the
-    ``len(tree.members)`` match queries the skipped DP would have
+    like the matcher's vertex tables), and each store adds its record's
+    and cover's estimated bytes to the matcher's ``memo_nbytes``.  The
+    memo itself never queries the matcher — shared-leaf reference sets
+    are read from the vertex tables of *peeked* match lists at store
+    time, right after a DP ran — and the mapper credits each hit with
+    the ``len(tree.members)`` match queries the skipped DP would have
     issued, which keeps ``map.match_queries`` independent of the
     execution plan.
     """
 
     def __init__(self) -> None:  # noqa: D107
-        #: key -> {signature -> [(k, fingerprint, cover)] sorted by k}.
-        self._entries: Dict[Tuple, Dict[Tuple, List[Tuple]]] = {}
+        #: key -> {signature -> {k -> (record, cover)}}.
+        self._entries: Dict[Tuple, Dict[Tuple, Dict[float, Tuple]]] = {}
         #: key -> (sorted members, sorted shared (vertex, phase) refs).
         self._refs: Dict[Tuple, Tuple[List[int], Tuple]] = {}
         self.lookups = 0
         self.hits = 0
         self.stores = 0
+        #: Re-scored covers whose choices did not hold at the new K.
+        self.rejected = 0
 
     def probe(self, tree: Tree, materialized: Set[int], matcher: Matcher,
               objective: CoverObjective,
@@ -296,27 +362,31 @@ class _MemoProbe:
 
     def lookup(self) -> Optional[TreeCover]:
         """The reusable cover for this tree at ``objective.k``, if any."""
-        self.memo.lookups += 1
+        memo = self.memo
+        memo.lookups += 1
         sig = self._signature()
-        if sig is None:
-            return None
-        by_sig = self.memo._entries.get(self.key)
+        by_sig = memo._entries.get(self.key) if sig is not None else None
         entries = by_sig.get(sig) if by_sig else None
         if not entries:
             return None
         k = self.objective.k
-        ks = [entry[0] for entry in entries]
-        i = _bisect.bisect_left(ks, k)
-        if i < len(entries) and entries[i][0] == k:
-            self.memo.hits += 1
-            return entries[i][2]
-        if 0 < i < len(entries) and entries[i - 1][1] == entries[i][1]:
-            # K is bracketed by two evaluated Ks whose optimal
-            # assignments agree — affine costs make that assignment
-            # optimal at every K in between.
-            self.memo.hits += 1
-            return entries[i - 1][2]
-        return None
+        entry = entries.get(k)
+        if entry is None:
+            below = max((x for x in entries if x < k), default=None)
+            above = min((x for x in entries if x > k), default=None)
+            tried = None
+            for near in (below, above):
+                if near is None or entries[near] is tried:
+                    continue
+                tried = entries[near]
+                if tried[0].reproduces(self.objective):
+                    entry = entries[k] = tried
+                    break
+                memo.rejected += 1
+            if entry is None:
+                return None
+        memo.hits += 1
+        return entry[1]
 
     def store(self, cover: TreeCover) -> None:
         """Record a freshly computed cover at ``objective.k``."""
@@ -330,15 +400,11 @@ class _MemoProbe:
         sig = self._signature()
         if sig is None:  # pragma: no cover - defensive
             return
-        fp = _assignment_fingerprint(cover, self._is_shared)
-        entries = memo._entries.setdefault(self.key, {}).setdefault(sig, [])
-        k = self.objective.k
-        ks = [entry[0] for entry in entries]
-        i = _bisect.bisect_left(ks, k)
-        if i < len(entries) and entries[i][0] == k:
-            return
-        entries.insert(i, (k, fp, cover))
+        entries = memo._entries.setdefault(self.key, {}).setdefault(sig, {})
+        entries[self.objective.k] = (cover.record, cover)
         memo.stores += 1
+        self.matcher.memo_nbytes += (cover.record.nbytes + _STORE_NBYTES
+                                     + _SOLUTION_NBYTES * len(cover.solutions))
 
     def _derive_refs(self) -> Optional[Tuple[List[int], Tuple]]:
         """Shared-leaf references of *any* candidate match of the tree.
@@ -372,13 +438,14 @@ def cover_tree(network: BaseNetwork, tree: Tree, matcher: Matcher,
                library: CellLibrary, objective: CoverObjective,
                boundary: BoundaryInfo,
                materialized: Set[int]) -> TreeCover:
-    """Cover one subject tree bottom-up; returns the full DP table.
+    """Cover one subject tree bottom-up; returns the full DP table and
+    its :class:`CoverRecord`.
 
     ``materialized`` lists vertices whose signal exists as a net even if
     they are members of this tree (multi-fanout absorption); the root
     itself is excluded from that treatment since this call is what
     materializes it.  The array DP is bit-identical to the per-match
-    scalar DP of :func:`_cover_reference`.
+    scalar DP of :func:`_cover_reference`, record included.
     """
     return _cover_vector(network, tree, matcher, library, objective,
                          boundary, materialized)
@@ -394,9 +461,6 @@ def _cover_reference(network: BaseNetwork, tree: Tree, matcher: Matcher,
     root = tree.root
     inv = library.inverter
     positions = boundary.positions
-
-    def consumable(v: int) -> bool:
-        return v in members
 
     def is_shared(v: int) -> bool:
         """Leaf refs to these vertices use the existing net."""
@@ -434,25 +498,36 @@ def _cover_reference(network: BaseNetwork, tree: Tree, matcher: Matcher,
                 f"no solution for internal vertex {vertex} phase {phase}")
         return sol
 
+    by_area = objective.mode == "area"
+    record = _RecordBuilder()
     frozen = tree.frozen_members()
-    order = [v for v in sorted(members)]
-    for v in order:
+    for v in sorted(members):
         cand: Dict[bool, Optional[Solution]] = {POS: None, NEG: None}
+        best: Dict[bool, Optional[int]] = {POS: None, NEG: None}
+        primary: List[float] = []
+        wire: List[float] = []
         matches = matcher.matches_in_tree(v, frozen)
         for phase in (POS, NEG):
-            for match in matches[phase]:
+            for i, match in enumerate(matches[phase]):
                 sol = _evaluate(match, v, objective, positions,
                                 leaf_solution)
-                if sol is not None and (cand[phase] is None
-                                        or sol.cost < cand[phase].cost):
+                primary.append(sol.area if by_area else sol.arrival)
+                wire.append(_wire_for_mode(sol, objective))
+                if cand[phase] is None or sol.cost < cand[phase].cost:
                     cand[phase] = sol
-        _apply_conversions(cand, inv, objective)
+                    best[phase] = i
+        if primary:
+            converted = _apply_conversions(cand, inv, objective)
+            record.vertex(np.array(primary, dtype=float),
+                          np.array(wire, dtype=float), len(matches[POS]),
+                          best, converted)
         for phase in (POS, NEG):
             if cand[phase] is not None:
                 solutions[(v, phase)] = cand[phase]
     if (root, POS) not in solutions:
         raise MappingError(f"tree rooted at {root} has no positive cover")
-    return TreeCover(tree, solutions)
+    return TreeCover(tree, solutions, record.finish(
+        _inv_term(inv, objective)))
 
 
 def _wire_for_mode(sol: Solution, objective: CoverObjective) -> float:
@@ -462,15 +537,23 @@ def _wire_for_mode(sol: Solution, objective: CoverObjective) -> float:
     return sol.wire
 
 
+def _inv_term(inv, objective: CoverObjective) -> float:
+    """What a phase conversion adds to the objective's primary term."""
+    if objective.mode == "area":
+        return inv.area
+    return inv.delay(objective.load_estimate)
+
+
 def _apply_conversions(cand: Dict[bool, Optional[Solution]], inv,
-                       objective: CoverObjective) -> None:
+                       objective: CoverObjective) -> Tuple[bool, bool]:
     """Inverter phase conversions, applied to both phases in place.
 
     A conversion always chains from the opposite phase's *match-based*
     best, never from another conversion — this keeps realisation
-    acyclic.
+    acyclic.  Returns whether a conversion won into POS and into NEG.
     """
     match_based = dict(cand)
+    won = {POS: False, NEG: False}
     for phase in (POS, NEG):
         source = match_based[not phase]
         if source is None:
@@ -491,6 +574,8 @@ def _apply_conversions(cand: Dict[bool, Optional[Solution]], inv,
             inv_source=source)
         if cand[phase] is None or converted.cost < cand[phase].cost:
             cand[phase] = converted
+            won[phase] = True
+    return won[POS], won[NEG]
 
 
 #: Widest zero-padded consumed-set row whose sum reproduces the
@@ -643,6 +728,8 @@ def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
         L[code] = (area, 0.0, boundary.wire(u), arrival, pos[0], pos[1])
         ok[code] = True
 
+    by_area = objective.mode == "area"
+    record = _RecordBuilder()
     solutions: Dict[Tuple[int, bool], Solution] = {}
     frozen = tree.frozen_members()
     for v in sorted(members):
@@ -679,7 +766,8 @@ def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
             area = table.cell_area + sums[:, 0]
             wire2 = sums[:, 2] if objective.transitive_wire else sums[:, 1]
             arr = amax + table.delays(load)
-            cost = objective.cost(area, sums[:, 3] + wire2, arr)
+            wire = sums[:, 3] + wire2
+            cost = objective.cost(area, wire, arr)
 
             def winner(i: int) -> Solution:
                 _, wire2, wire2_t, wire1 = sums[i].tolist()
@@ -692,11 +780,16 @@ def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
                     match=table.matches[i])
 
             pc = table.pos_count
+            best: Dict[bool, Optional[int]] = {POS: None, NEG: None}
             if pc:
-                cand[POS] = winner(int(cost[:pc].argmin()))
+                best[POS] = int(cost[:pc].argmin())
+                cand[POS] = winner(best[POS])
             if table.m > pc:
-                cand[NEG] = winner(pc + int(cost[pc:].argmin()))
-        _apply_conversions(cand, inv, objective)
+                best[NEG] = int(cost[pc:].argmin())
+                cand[NEG] = winner(pc + best[NEG])
+            converted = _apply_conversions(cand, inv, objective)
+            record.vertex(area if by_area else arr, wire, pc, best,
+                          converted)
         for phase in (POS, NEG):
             sol = cand[phase]
             if sol is None:
@@ -709,13 +802,14 @@ def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
                 ok[code] = True
     if (root, POS) not in solutions:
         raise MappingError(f"tree rooted at {root} has no positive cover")
-    return TreeCover(tree, solutions)
+    return TreeCover(tree, solutions, record.finish(
+        _inv_term(inv, objective)))
 
 
 def _evaluate(match: Match, vertex: int, objective: CoverObjective,
               positions: PositionMap,
               leaf_solution: Callable[[int, bool], Solution],
-              load: Optional[float] = None) -> Optional[Solution]:
+              load: Optional[float] = None) -> Solution:
     """Score one candidate match (Eqs. 1–5)."""
     leaf_sols: List[Solution] = []
     for _, (u, phase) in match.leaves:

@@ -87,8 +87,9 @@ class TechnologyMapper:
         per-``(vertex, tree)`` memo makes repeated runs (one per K)
         enumerate each tree's matches once, and it carries the cross-K
         covering-DP memo (:class:`repro.core.covering.CoverMemo`): a
-        tree whose DP inputs are unchanged and whose optimal assignment
-        agrees at two evaluated Ks bracketing this run's K skips the DP
+        tree whose DP inputs other than K are unchanged, and whose
+        stored cover from the nearest evaluated K below or above keeps
+        every choice when re-scored at this run's K, skips the DP
         entirely.  Exact — reused covers commit bit-identical netlists.
         A fresh matcher starts with an empty memo.
     """

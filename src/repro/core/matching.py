@@ -34,10 +34,10 @@ _Partial = Tuple[Tuple[Tuple[str, Tuple[int, bool]], ...], FrozenSet[int]]
 ConeKey = Tuple[int, int]
 
 #: Running-size weights of :attr:`Matcher.memo_nbytes`, fitted against
-#: full object walks of matchers filled by K sweeps (match lists,
-#: covering vertex tables and cover memo included).
+#: full object walks of matchers filled by K sweeps (match lists and
+#: covering vertex tables; each cover-memo store adds its own bytes).
 _QUERY_NBYTES = 200
-_MATCH_NBYTES = 1000
+_MATCH_NBYTES = 540
 
 _NOTHING: FrozenSet[int] = frozenset()
 

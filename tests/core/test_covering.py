@@ -3,9 +3,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import (
+    EUCLIDEAN,
+    MANHATTAN,
     BoundaryInfo,
     Matcher,
     PositionMap,
@@ -15,11 +18,21 @@ from repro.core import (
     cover_tree,
     dagon_partition,
     min_area,
+    min_delay,
     placement_partition,
 )
+from repro.core.covering import _cover_reference
 from repro.library import CORELIB018
 from repro.network import BooleanNetwork, decompose, parse_sop
 from repro.network.dag import BaseNetwork
+from tests.place.test_engine_equivalence import (
+    WIDE_LIBRARY,
+    and_tree_network,
+    busy_boundary,
+    random_position_map,
+    random_tree_network,
+    solution_key,
+)
 
 
 def cover_all(base, objective=None, positions=None):
@@ -349,3 +362,90 @@ class TestSolutionBookkeeping:
                            CORELIB018, min_area(), boundary,
                            part.materialized)
         assert cover.root_solution().arrival > 0
+
+
+def record_bytes(record):
+    """Every field of a :class:`CoverRecord` as (dtype, bytes) pairs:
+    equal tuples are bitwise-equal records."""
+    fields = [np.asarray(value) for value in record]
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in fields)
+
+
+def choices(record):
+    return (record.starts.tolist(), record.chosen.tolist(),
+            record.pairs.tolist(), record.converted.tolist())
+
+
+#: One objective per scoring mode, each at a few Ks.
+MODES = {
+    "area": area_congestion,
+    "transitive": lambda k: area_congestion(k, transitive_wire=True),
+    "delay": min_delay,
+}
+
+
+class TestCoverRecord:
+    """The K-independent record each covering DP leaves for the memo."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("metric", [MANHATTAN, EUCLIDEAN])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("k", [0.0, 0.01])
+    def test_twins_record_bitwise(self, seed, metric, mode, k):
+        """The array DP and its scalar oracle build bitwise-equal
+        records, shared leaves with committed figures included."""
+        base = random_tree_network(seed)
+        positions = random_position_map(base, seed, metric)
+        boundary = busy_boundary(base, positions, seed)
+        part = dagon_partition(base)
+        matcher = Matcher(base, CORELIB018)
+        for root in part.roots:
+            args = (base, part.trees[root], matcher, CORELIB018,
+                    MODES[mode](k), boundary, part.materialized)
+            assert record_bytes(_cover_reference(*args).record) == \
+                record_bytes(cover_tree(*args).record), root
+
+    @pytest.mark.parametrize("k", [0.0, 0.01])
+    def test_twins_record_bitwise_on_wide_matches(self, k):
+        base = and_tree_network(32)
+        positions = random_position_map(base, 0)
+        part = dagon_partition(base)
+        matcher = Matcher(base, WIDE_LIBRARY)
+        for root in part.roots:
+            args = (base, part.trees[root], matcher, WIDE_LIBRARY,
+                    area_congestion(k), BoundaryInfo(positions),
+                    part.materialized)
+            assert record_bytes(_cover_reference(*args).record) == \
+                record_bytes(cover_tree(*args).record)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_reproduces_iff_the_dp_chooses_alike(self, mode):
+        """Re-scoring a record at another K holds exactly when the DP
+        there makes the same choices, and then every solution but its
+        scalar cost is bitwise the stored one."""
+        ks = (0.0, 0.001, 0.01, 0.1, 1.0)
+        held = failed = 0
+        for seed in range(4):
+            base = random_tree_network(seed, size=24)
+            boundary = busy_boundary(
+                base, random_position_map(base, seed), seed)
+            part = dagon_partition(base)
+            matcher = Matcher(base, CORELIB018)
+            for root in part.roots:
+                covers = {k: cover_tree(base, part.trees[root], matcher,
+                                        CORELIB018, MODES[mode](k),
+                                        boundary, part.materialized)
+                          for k in ks}
+                for k1, k2 in itertools.product(ks, ks):
+                    stored, fresh = covers[k1], covers[k2]
+                    holds = stored.record.reproduces(MODES[mode](k2))
+                    assert holds == (choices(stored.record)
+                                     == choices(fresh.record))
+                    if not holds:
+                        failed += 1
+                        continue
+                    held += k1 != k2
+                    for key, sol in fresh.solutions.items():
+                        assert solution_key(sol)[1:] == \
+                            solution_key(stored.solutions[key])[1:]
+        assert held and failed

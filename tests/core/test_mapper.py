@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.circuits import random_logic_network, random_pla
 from repro.core import (
@@ -198,9 +198,24 @@ class TestPlaVariety:
         check_base_vs_mapped(base, result.netlist, CORELIB018)
 
 
+def mapping_key(result):
+    """What a reused cover must leave exactly as a fresh DP leaves it."""
+    return (result.netlist.structure_key(), result.instance_positions,
+            result.estimated_wirelength, result.stats["map.dp_claimed_area"])
+
+
 class TestCoverMemo:
-    """Cross-K covering reuse: bracketed probes skip the DP without
-    changing any result (the ISSUE 7 parametric memo)."""
+    """Cross-K covering reuse: re-scored stored covers skip the DP
+    without changing any result."""
+
+    #: The K values the memo tests draw from, both sides of the
+    #: area-to-wire switch.
+    KS = (0.0, 0.0005, 0.001, 0.01, 0.1, 1.0)
+    OBJECTIVES = {
+        "area": area_congestion,
+        "transitive": lambda k: area_congestion(k, transitive_wire=True),
+        "delay": min_delay,
+    }
 
     def _map_at(self, base, positions, k, matcher=None):
         return map_network(base, CORELIB018, area_congestion(k),
@@ -213,9 +228,9 @@ class TestCoverMemo:
         positions = random_positions(small_base)
         matcher = Matcher(small_base, CORELIB018)
         lo, hi, mid = 0.0, 0.0002, 0.0001
-        for k in (lo, hi):
-            bracket = self._map_at(small_base, positions, k, matcher=matcher)
-            assert bracket.stats["cover.memo_hits"] == 0
+        first = self._map_at(small_base, positions, lo, matcher=matcher)
+        assert first.stats["cover.memo_hits"] == 0
+        self._map_at(small_base, positions, hi, matcher=matcher)
         probe = self._map_at(small_base, positions, mid, matcher=matcher)
         assert probe.stats["cover.memo_hits"] > 0
         # A memo hit must be invisible in the result: identical netlist
@@ -264,13 +279,58 @@ class TestCoverMemo:
             assert members_sorted == sorted(members)
             assert shared == tuple(sorted(walked))
 
-    def test_ascending_walk_never_hits(self, small_base):
-        """Sweeps walk K upward, so probes never have a right bracket —
-        the memo must stay silent (and the sweep rows untouched)."""
+    def test_ascending_walk_reuses_and_matches_fresh(self, small_base):
+        """Sweeps walk K upward: the cover of the K below is re-scored,
+        and every mapping equals a fresh matcher's."""
         from repro.core import Matcher
 
         positions = random_positions(small_base)
         matcher = Matcher(small_base, CORELIB018)
-        for k in (0.0, 0.001, 0.01, 0.1):
-            result = self._map_at(small_base, positions, k, matcher=matcher)
-            assert result.stats["cover.memo_hits"] == 0
+        hits = 0
+        for k in (0.0, 0.001, 0.01, 0.1, 1.0):
+            walked = self._map_at(small_base, positions, k, matcher=matcher)
+            fresh = self._map_at(small_base, positions, k,
+                                 matcher=Matcher(small_base, CORELIB018))
+            assert mapping_key(walked) == mapping_key(fresh)
+            hits += walked.stats["cover.memo_hits"]
+        assert hits > 0
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    def test_shared_matcher_maps_like_fresh(self, small_base, objective):
+        """Property: over ascending, descending and shuffled K lists with
+        repeats, a matcher shared across the list maps every K exactly
+        as a fresh matcher does — re-scores that hold reuse a cover,
+        re-scores that fail fall back to the DP."""
+        from repro.core import Matcher
+
+        make = self.OBJECTIVES[objective]
+        positions = random_positions(small_base)
+        fresh = {}
+        rejected = []
+
+        def fresh_key(k):
+            if k not in fresh:
+                fresh[k] = mapping_key(map_network(
+                    small_base, CORELIB018, make(k),
+                    partition_style="placement", positions=positions))
+            return fresh[k]
+
+        @settings(max_examples=15, deadline=None)
+        @given(ks=st.lists(st.sampled_from(self.KS), min_size=2,
+                           max_size=8),
+               order=st.sampled_from(["ascending", "descending",
+                                      "shuffled"]))
+        @example(ks=[0.0, 1.0, 0.0], order="ascending")
+        def check(ks, order):
+            if order != "shuffled":
+                ks = sorted(ks, reverse=order == "descending")
+            matcher = Matcher(small_base, CORELIB018)
+            for k in ks:
+                shared = map_network(small_base, CORELIB018, make(k),
+                                     partition_style="placement",
+                                     positions=positions, matcher=matcher)
+                assert mapping_key(shared) == fresh_key(k)
+            rejected.append(matcher._cover_memo.rejected)
+
+        check()
+        assert sum(rejected) > 0

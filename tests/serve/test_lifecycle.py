@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from repro.circuits import benchmark
-from repro.core import FlowConfig, Matcher, map_network
+from repro.core import FlowConfig, Matcher, area_congestion, map_network
+from repro.core.flow import PAPER_K_VALUES
+from repro.core.partition import partition as make_partition
 from repro.library import CORELIB018
 from repro.network import decompose
 from repro.place import Floorplan
+from repro.place.placer import place_base_network
 from repro.serve import CacheBounds, Job, ServeEngine, SessionCaches
 from repro.serve.caches import approx_nbytes
 
@@ -132,12 +135,41 @@ class TestGrowingMatchers:
         caches.sync()
         assert caches.cache_bytes() == empty + matcher.memo_nbytes
 
-    def test_running_estimate_tracks_an_object_walk(self, base):
+    @pytest.fixture(scope="class")
+    def placed(self, base):
+        """Base positions and the K-independent partition of a K loop."""
+        positions = place_base_network(base, Floorplan.from_rows(12))
+        return positions, make_partition(base, "placement",
+                                         positions=positions)
+
+    @staticmethod
+    def _map_at(base, placed, k, matcher):
+        positions, part = placed
+        return map_network(base, CORELIB018, area_congestion(k),
+                           partition_style="placement", positions=positions,
+                           partition=part, matcher=matcher)
+
+    def test_running_estimate_tracks_an_object_walk(self, base, placed):
+        """The estimate stays within 2x of an object walk after the
+        first K point and after the paper's whole 14-point schedule,
+        when stored covers have grown the matcher's cover memo."""
         matcher = Matcher(base, CORELIB018)
         empty = approx_nbytes(matcher, max_visits=10**7)
-        map_network(base, CORELIB018, matcher=matcher)
-        walked = approx_nbytes(matcher, max_visits=10**7) - empty
-        assert 0.5 * walked <= matcher.memo_nbytes <= 2.0 * walked
+        for i, k in enumerate(PAPER_K_VALUES):
+            self._map_at(base, placed, k, matcher)
+            if i in (0, len(PAPER_K_VALUES) - 1):
+                walked = approx_nbytes(matcher, max_visits=10**7) - empty
+                assert 0.5 * walked <= matcher.memo_nbytes <= 2.0 * walked
+
+    def test_storing_covers_grows_the_estimate(self, base, placed):
+        """A K point that makes no new match query but stores covers in
+        the cover memo still grows the estimate."""
+        matcher = Matcher(base, CORELIB018)
+        self._map_at(base, placed, 0.0, matcher)
+        before, stores = matcher.memo_nbytes, matcher._cover_memo.stores
+        self._map_at(base, placed, 1.0, matcher)
+        assert matcher._cover_memo.stores > stores
+        assert matcher.memo_nbytes > before
 
     def test_bounded_session_evicts_a_grown_matcher(self, base):
         limit = 2 * approx_nbytes(Matcher(base, CORELIB018))
