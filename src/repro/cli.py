@@ -111,8 +111,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
     network = load_source(args.source)
     base = decompose(network)
     if args.k != 0 or args.partition == "placement":
-        floorplan = Floorplan.for_area(
-            base.num_gates() * 12.0 / (args.utilization / 100.0))
+        floorplan = Floorplan.for_gates(base.num_gates(),
+                                        utilization=args.utilization)
         positions = place_base_network(base, floorplan)
         objective = area_congestion(args.k)
         result = map_network(base, CORELIB018, objective,

@@ -28,10 +28,10 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from ..errors import PlacementError, ReproError
-from ..exec import derive_seed, fan_out
+from ..exec import fan_out
 from ..library.cell import CellLibrary
 from ..measures import total_hpwl
-from ..obs import Span, StatsRegistry, Tracer
+from ..obs import Span, StatsRegistry, Tracer, merged_counters
 from ..network.boolnet import BooleanNetwork
 from ..network.dag import BaseNetwork
 from ..network.decompose import decompose
@@ -58,9 +58,9 @@ PAPER_K_VALUES: Tuple[float, ...] = (
 class FlowConfig:
     """Shared configuration for all flow entry points.
 
-    ``workers`` is the default process fan-out for the parallel stages
-    (K points of a sweep, placement attempts of an evaluation); 1 keeps
-    everything serial.  Parallel runs are bit-identical to serial ones.
+    ``workers`` is the default process fan-out of a K loop's pool
+    rounds; 1 keeps everything serial.  Parallel runs are bit-identical
+    to serial ones.
 
     ``route_reuse`` enables cross-K route warm-starting in the K loop:
     nets whose pin GCell signature is unchanged between K netlists
@@ -73,7 +73,6 @@ class FlowConfig:
     gcell_rows: int = 2
     max_route_iterations: int = 25
     seed: int = 0
-    place_attempts: int = 1
     workers: int = 1
     route_reuse: bool = True
 
@@ -94,17 +93,22 @@ class EvalPoint:
     mapping: Optional[MappingResult] = None
     placement: Optional[Placement] = None
     routing: Optional[RoutingResult] = None
-    #: Namespaced flow counters: ``eval.*`` wall-times plus the
-    #: absorbed ``map.*`` / ``route.*`` / ``exec.*`` registries of the
-    #: point's phases (duplicate keys raise instead of overwriting).
-    #: A point that reused an earlier evaluation (:class:`EvalMemo`)
-    #: carries that evaluation's entries replayed, plus
-    #: ``eval.reused`` = 1.
-    stats: StatsRegistry = field(default_factory=StatsRegistry)
-    #: The point's span subtree (k_point → map / evaluate → attempt →
-    #: place / route), built identically on the serial and the
-    #: process-pool paths; sweeps adopt it into the run's trace.
+    #: The point's span subtree (k_point → map / evaluate → place /
+    #: route), built identically on the serial and the process-pool
+    #: paths; sweeps adopt it into the run's trace.  It is the point's
+    #: one ledger: each counter sits on the span whose work it counts
+    #: (mapping stats on ``map``, ``place.t_*`` on ``place``, routing
+    #: stats on ``route``, ``eval.reused`` on a reused ``evaluate``, a
+    #: pool round's ``exec.*`` on ``k_point``).
     trace: Optional[Span] = None
+
+    @property
+    def stats(self) -> StatsRegistry:
+        """Every counter of :attr:`trace`, merged into a new registry
+        on each read, so writing to it does not change the point."""
+        if self.trace is None:
+            return StatsRegistry()
+        return merged_counters(self.trace)
 
     def row(self) -> Tuple[float, float, int, float, int]:
         """(K, cell area, #cells, utilization %, violations)."""
@@ -112,38 +116,47 @@ class EvalPoint:
                 self.utilization, self.violations)
 
 
-def _placement_attempt(payload: Tuple[Any, ...], attempt: int) -> EvalPoint:
-    """One placement + global-routing attempt (a fan-out task).
+def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
+                     config: FlowConfig, k: float = 0.0,
+                     route_cache: Optional[RouteCache] = None) -> EvalPoint:
+    """Place + globally route one netlist; summarise like a table row.
 
-    Placement *and* routing seeds advance with the attempt index, so
-    retries explore both RNG streams instead of re-rolling only the
-    placer against a frozen router (the router seed drives the
-    negotiation's victim ordering).  ``route_cache`` is read-only here:
-    every attempt warm-starts from the same cache snapshot, which keeps
-    parallel attempt fan-outs bit-identical to serial ones.
+    The placer and the router are both seeded with ``config.seed`` (the
+    router seed drives the negotiation's victim ordering).
+    ``route_cache`` warm-starts unchanged nets from a previous
+    evaluation's routes; the router only reads it, and a clean routing
+    then refreshes it.
+
+    The returned point's :attr:`EvalPoint.trace` is an ``evaluate``
+    span with a ``place`` child, which carries the placer's
+    ``place.t_*`` phase times, and a ``route`` child, which carries the
+    routing's stats.
     """
-    netlist, floorplan, config, k, area, route_cache = payload
-    seed = derive_seed(config.seed, attempt)
-    tracer = Tracer("attempt", attempt=attempt)
+    tracer = Tracer("evaluate", k=k)
+    area = netlist.total_area(config.library)
     place_timings: Dict[str, float] = {}
     with tracer.span("place") as sp_place:
         placement = place_netlist(netlist, config.library, floorplan,
-                                  seed=seed, timings=place_timings)
+                                  seed=config.seed, timings=place_timings)
+    for phase, seconds in sorted(place_timings.items()):
+        sp_place.counters.time(f"place.{phase}", seconds)
     router = GlobalRouter(floorplan, config.resources,
                           gcell_rows=config.gcell_rows,
                           max_iterations=config.max_route_iterations,
-                          seed=seed)
+                          seed=config.seed)
     with tracer.span("route") as sp_route:
         points = placement.net_points(netlist)
         routing = (router.route(points, cache=route_cache)
                    if route_cache is not None else router.route(points))
     sp_route.counters.absorb(routing.stats)
-    stats = StatsRegistry()
-    stats.time("eval.t_place", sp_place.duration)
-    stats.time("eval.t_route", sp_route.duration)
-    for phase, seconds in sorted(place_timings.items()):
-        stats.time(f"place.{phase}", seconds)
-    stats.absorb(routing.stats)
+    # Only clean routings refresh the cache.  Warm-starting the next K
+    # point's negotiation from a *congested* snapshot poisons it — the
+    # router inherits overflow history it cannot unwind and lands on
+    # strictly worse solutions than a cold start (the figure3
+    # non-convergence regression).  A failed point therefore leaves the
+    # last known-good routes in place.
+    if route_cache is not None and routing.violations == 0:
+        route_cache.store(routing)
     return EvalPoint(
         k=k, cell_area=area, num_cells=netlist.num_cells(),
         utilization=floorplan.utilization(area),
@@ -152,89 +165,17 @@ def _placement_attempt(payload: Tuple[Any, ...], attempt: int) -> EvalPoint:
         routed_wirelength=routing.total_wirelength,
         hpwl=total_hpwl(points),
         routable=routing.violations == 0,
-        placement=placement, routing=routing,
-        stats=stats, trace=tracer.close())
-
-
-def _select_best(points: Iterable[EvalPoint]) -> EvalPoint:
-    """The retry loop's pick: the strictly best (violations, wirelength)
-    attempt seen so far, stopping at the first zero-violation best.
-
-    ``points`` is a generator of serial attempts, which is not advanced
-    past the stop, or the list of all attempts a pool ran; the rule
-    selects the same point from both, which is what keeps ``workers=N``
-    bit-identical.
-    """
-    best: Optional[EvalPoint] = None
-    for point in points:
-        if best is None or (point.violations, point.routed_wirelength) < \
-                (best.violations, best.routed_wirelength):
-            best = point
-        if best.violations == 0:
-            break
-    assert best is not None
-    return best
-
-
-def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
-                     config: FlowConfig, k: float = 0.0,
-                     workers: Optional[int] = None,
-                     route_cache: Optional[RouteCache] = None) -> EvalPoint:
-    """Place + globally route one netlist; summarise like a table row.
-
-    Up to ``config.place_attempts`` placement seeds are tried and the
-    best result kept (stopping early at zero violations) — the "let the
-    P&R tool try again" that any physical-design flow applies before
-    declaring a netlist unroutable.  With ``workers > 1`` (defaulting
-    to ``config.workers``) the attempts fan out over a process pool;
-    the selected point is identical to the serial path's.
-
-    ``route_cache`` warm-starts unchanged nets from a previous
-    evaluation's routes; all attempts read the same cache snapshot and
-    the cache is refreshed once from the selected point's routes.
-
-    The returned point's :attr:`EvalPoint.trace` is an ``evaluate``
-    span wrapping the *selected* attempt's span — only the chosen
-    attempt is kept, so serial early-exit and parallel
-    run-all-attempts produce identical span trees.
-    """
-    tracer = Tracer("evaluate", k=k)
-    area = netlist.total_area(config.library)
-    attempts = max(1, config.place_attempts)
-    nworkers = max(1, config.workers if workers is None else workers)
-    payload = (netlist, floorplan, config, k, area, route_cache)
-    if attempts > 1 and nworkers > 1:
-        exec_stats = StatsRegistry()
-        best = _select_best(fan_out(_placement_attempt, payload,
-                                    range(attempts), workers=nworkers,
-                                    stats=exec_stats))
-        best.stats.merge(exec_stats)
-    else:
-        best = _select_best(_placement_attempt(payload, attempt)
-                            for attempt in range(attempts))
-    # Only clean routings refresh the cache.  Warm-starting the next K
-    # point's negotiation from a *congested* snapshot poisons it — the
-    # router inherits overflow history it cannot unwind and lands on
-    # strictly worse solutions than a cold start (the figure3
-    # non-convergence regression).  A failed point therefore leaves the
-    # last known-good routes in place.
-    if route_cache is not None and best.routing is not None \
-            and best.routing.violations == 0:
-        route_cache.store(best.routing)
-    tracer.adopt(best.trace)
-    best.trace = tracer.close()
-    best.stats.time("eval.t_total", best.trace.duration)
-    return best
+        placement=placement, routing=routing, trace=tracer.close())
 
 
 class EvalMemo:
     """The evaluations one request has run, keyed by netlist structure.
 
     :func:`evaluate_netlist` is a deterministic function of the netlist,
-    the die, the config and the route cache's contents: its seeds come
-    from ``config.seed`` and the attempt index, and the router only
-    reads the cache.  A :class:`KLoop` (one die, one config) therefore
-    owns one memo and passes it to every serial :func:`run_k_point`; a
+    the die, the config and the route cache's contents: its seeds are
+    ``config.seed``, and the router only reads the cache.  A
+    :class:`KLoop` (one die, one config) therefore owns one memo and
+    passes it to every serial :func:`run_k_point`; a
     K point whose mapped netlist has the same
     :meth:`~repro.network.netlist.MappedNetlist.structure_key` as one
     evaluated earlier, under the same cache contents, reuses that
@@ -268,10 +209,7 @@ class EvalMemo:
         point = evaluate_netlist(netlist, floorplan, config, k=k,
                                  route_cache=route_cache)
         if route_cache is None or route_cache.routes is routes:
-            # A copy of the stats: run_k_point adds the mapping's to
-            # the returned point.
-            self._done[key] = replace(
-                point, stats=StatsRegistry.merged([point.stats]))
+            self._done[key] = point
         return point
 
 
@@ -279,20 +217,17 @@ def _reuse_evaluation(done: EvalPoint, k: float) -> EvalPoint:
     """``done``'s evaluation served again at ``k`` (see :class:`EvalMemo`).
 
     The row fields, placement, routing, HPWL and routed wirelength are
-    ``done``'s, and the objects are shared read-only.  The stats and the
-    ``evaluate`` subtree are replayed: results are kept, work reads 0,
-    times read what reusing took, so per-point :meth:`deterministic`
-    views and span skeletons equal a fresh evaluation's.
-    ``eval.reused`` (work) = 1 marks the point and its span.
+    ``done``'s, and the objects are shared read-only.  The ``evaluate``
+    subtree is replayed (:meth:`Span.replayed`): results are kept, work
+    and times read 0, so per-point :meth:`deterministic` views and span
+    skeletons equal a fresh evaluation's.  ``eval.reused`` (work) = 1
+    on the ``evaluate`` span marks the point.
     """
     tracer = Tracer("evaluate", k=k)
     tracer.root.counters.work("eval.reused", 1)
     for child in done.trace.children:
         tracer.adopt(child.replayed())
-    trace = tracer.close()
-    stats = done.stats.replayed({"eval.t_total": trace.duration})
-    stats.work("eval.reused", 1)
-    return replace(done, k=k, stats=stats, trace=trace)
+    return replace(done, k=k, trace=tracer.close())
 
 
 def run_k_point(base: BaseNetwork, positions: PositionMap,
@@ -326,35 +261,23 @@ def run_k_point(base: BaseNetwork, positions: PositionMap,
     else:
         point = memo.evaluate(mapping.netlist, floorplan, config, k,
                               route_cache)
-    point.mapping = mapping
-    point.stats.time("map.t_total", sp_map.duration)
-    point.stats.absorb(mapping.stats)
     tracer.adopt(point.trace)
-    point.trace = tracer.close()
-    return point
-
-
-#: Single-slot per-process cache: (payload, Matcher).  Workers receive
-#: the same payload object for every task of one round, so the matcher
-#: — and its match memo — is shared across all K points a process runs.
-_sweep_matcher: Optional[Tuple[Any, Matcher]] = None
+    return replace(point, mapping=mapping, trace=tracer.close())
 
 
 def _k_point_task(payload: Tuple[Any, ...], k: float) -> EvalPoint:
     """One K point of a :class:`KLoop` pool round (a fan-out task).
 
-    The payload's last slot is an optional :class:`RouteCache`
-    snapshot; each task clones it into a private shard, so every K
-    point of a round warm-starts from the same opening snapshot no
-    matter which worker runs it (or whether the round fell back to the
-    serial loop) — the property that keeps sharded rounds bit-identical
-    across execution plans.
+    The payload carries the loop's matcher, so a round that falls back
+    to the serial loop maps with it, and a pool worker with its own
+    copy, which then serves every K point that worker runs.  The last
+    slot is an optional :class:`RouteCache` snapshot; each task clones
+    it into a private shard, so every K point of a round warm-starts
+    from the same opening snapshot no matter which worker runs it (or
+    whether the round fell back to the serial loop) — the property that
+    keeps sharded rounds bit-identical across execution plans.
     """
-    global _sweep_matcher
-    base, positions, floorplan, config, part, snapshot = payload
-    if _sweep_matcher is None or _sweep_matcher[0] is not payload:
-        _sweep_matcher = (payload, Matcher(base, config.library))
-    matcher = _sweep_matcher[1]
+    base, positions, floorplan, config, part, matcher, snapshot = payload
     shard = snapshot.clone() if snapshot is not None else None
     return run_k_point(base, positions, floorplan, config, k,
                        partition=part, matcher=matcher, route_cache=shard)
@@ -377,12 +300,13 @@ class KLoop:
     :meth:`evaluate` runs one point serially, threading the route cache
     and the memo through.  :meth:`evaluate_round` runs a round of
     points over a pool of ``workers`` processes (default
-    ``config.workers``): every task clones the round's opening cache
-    snapshot into a private shard and builds its own matcher, and the
-    cache then adopts one clean member of the round.  Either way each
-    point is recorded once: its subtree is adopted into ``tracer``, its
-    line goes to ``progress``, and a pool round's ``exec.*`` entries go
-    into its stats and :attr:`exec_stats`.
+    ``config.workers``): every task maps with the loop's matcher and
+    clones the round's opening cache snapshot into a private shard, and
+    the cache then adopts one clean member of the round.  Either way
+    each point is recorded once: its subtree is adopted into
+    ``tracer``, its line goes to ``progress``, and a pool round's
+    ``exec.*`` entries go on its ``k_point`` span and into
+    :attr:`exec_stats`.
     """
 
     def __init__(self, base: BaseNetwork, floorplan: Floorplan,
@@ -476,7 +400,7 @@ class KLoop:
         snapshot = self.cache if self.cache is not None \
             and self.cache.routes else None
         payload = (self.base, self.positions, self.floorplan, self.config,
-                   self.partition, snapshot)
+                   self.partition, self.matcher, snapshot)
         points = fan_out(_k_point_task, payload,
                          [self.grid[i] for i in todo], workers=self.workers,
                          stats=round_stats, tracer=self.tracer)
@@ -488,7 +412,7 @@ class KLoop:
             self.cache.store(pick.routing)
         self.exec_stats.merge(round_stats)
         for i, point in zip(todo, points):
-            point.stats.merge(round_stats)
+            point.trace.counters.merge(round_stats)
             self._record(i, point)
 
     def _record(self, i: int, point: EvalPoint) -> None:

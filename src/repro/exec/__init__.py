@@ -1,5 +1,5 @@
 """Parallel execution layer: process-pool fan-out with serial fallback."""
 
-from .pool import default_workers, derive_seed, fan_out, pool_available
+from .pool import default_workers, fan_out, pool_available
 
-__all__ = ["default_workers", "derive_seed", "fan_out", "pool_available"]
+__all__ = ["default_workers", "fan_out", "pool_available"]

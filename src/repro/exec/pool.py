@@ -2,15 +2,16 @@
 
 The paper's methodology (Section 5, Figure 3) is built on re-mapping
 being cheap relative to re-synthesis; this module makes the repeated
-trials — the K points of a sweep, the placement attempts of an
-evaluation — run concurrently when the hardware allows, without ever
-changing their results:
+trials — the K points of a K loop's rounds, the affinity chains of a
+serve session — run concurrently when the hardware allows, without
+ever changing their results:
 
 * **Ordered collection** — results come back in task order, so callers
   see exactly the sequence the serial loop would have produced.
-* **Deterministic seeds** — :func:`derive_seed` is the single formula
-  both the serial and the parallel paths use, so a task's RNG stream
-  does not depend on which worker ran it.
+* **Deterministic tasks** — a task's result depends only on the
+  payload and the task, never on which worker ran it: seeds come from
+  the payload, and a per-process cache (the matcher a K point maps
+  with) is a pure speedup.
 * **Graceful fallback** — ``workers <= 1``, a single task, or *any*
   failure to stand the pool up (missing ``multiprocessing`` support,
   unpicklable payloads, sandboxed environments) degrades to the serial
@@ -34,20 +35,10 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from ..obs import StatsRegistry
 
-__all__ = ["default_workers", "derive_seed", "fan_out", "pool_available"]
+__all__ = ["default_workers", "fan_out", "pool_available"]
 
 #: Task function signature: (payload, task) -> result.
 TaskFn = Callable[[Any, Any], Any]
-
-
-def derive_seed(base_seed: int, index: int) -> int:
-    """Deterministic per-task seed.
-
-    Both the serial and the parallel execution paths derive attempt and
-    trial seeds through this one formula, which is what makes
-    ``workers=N`` bit-identical to ``workers=1``.
-    """
-    return base_seed + index
 
 
 def default_workers() -> int:

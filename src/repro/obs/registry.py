@@ -423,23 +423,20 @@ class StatsRegistry(Mapping):
         for key, theirs in other._instruments.items():
             self._instrument(key, type(theirs), theirs.param).merge(theirs)
 
-    def replayed(self, spent: Optional[Mapping[str, float]] = None
-                 ) -> "StatsRegistry":
+    def replayed(self) -> "StatsRegistry":
         """A copy for a result that is reused instead of recomputed.
 
         Results and environment facts (``count``, ``gauge``, ``metric``,
-        ``env``) are copied; ``work`` entries read 0 because none of the
-        work was done again, and ``time`` entries read the seconds given
-        in ``spent`` (0.0 when absent).  Keys, kinds and order are kept,
-        so the copy merges with fresh registries like the original and
-        its :meth:`deterministic` view is the original's.  Instruments
-        are not copied.
+        ``env``) are copied; ``work`` and ``time`` entries read 0
+        because none of the work was done again.  Keys, kinds and order
+        are kept, so the copy merges with fresh registries like the
+        original and its :meth:`deterministic` view is the original's.
+        Instruments are not copied.
         """
-        spent = spent or {}
         out = StatsRegistry()
         for key, entry in self._entries.items():
             if entry.kind == TIME:
-                out.time(key, spent.get(key, 0.0))
+                out.time(key, 0.0)
             elif entry.kind == WORK:
                 out.work(key, 0)
             else:

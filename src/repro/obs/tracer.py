@@ -2,7 +2,7 @@
 
 A :class:`Span` is one timed region of the flow — a run, a sweep, a
 K point, or a phase (map / place / route) — with monotonic wall-times,
-free-form attributes (the K value, the attempt index) and a
+free-form attributes (the K value, a job id) and a
 :class:`~repro.obs.registry.StatsRegistry` of typed counters.  Spans
 nest, so one run produces a tree::
 
@@ -11,9 +11,8 @@ nest, so one run produces a tree::
         ├── k_point (k=0)
         │   ├── map
         │   └── evaluate
-        │       └── attempt (attempt=0)
-        │           ├── place
-        │           └── route
+        │       ├── place
+        │       └── route
         └── k_point (k=0.001)
             └── ...
 

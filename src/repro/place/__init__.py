@@ -1,6 +1,6 @@
 """Placement substrate: floorplans, quadratic placement, legalization."""
 
-from .annealing import anneal, hpwl
+from .annealing import anneal
 from .floorplan import Floorplan, assign_pads
 from .legalize import check_legal, legalize_rows
 from .placer import Placement, place_base_network, place_netlist
@@ -14,7 +14,6 @@ __all__ = [
     "anneal",
     "assign_pads",
     "check_legal",
-    "hpwl",
     "legalize_rows",
     "place_base_network",
     "place_netlist",

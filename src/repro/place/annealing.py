@@ -19,21 +19,6 @@ from .floorplan import Floorplan
 Point = Tuple[float, float]
 
 
-def hpwl(positions: np.ndarray, nets: Sequence[Sequence[int]],
-         fixed: Sequence[Sequence[Point]]) -> float:
-    """Total half-perimeter wirelength over all nets."""
-    total = 0.0
-    for movables, pads in zip(nets, fixed):
-        xs: List[float] = [positions[i, 0] for i in movables]
-        ys: List[float] = [positions[i, 1] for i in movables]
-        for (px, py) in pads:
-            xs.append(px)
-            ys.append(py)
-        if len(xs) >= 2:
-            total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-    return total
-
-
 def anneal(positions: np.ndarray, nets: Sequence[Sequence[int]],
            fixed: Sequence[Sequence[Point]], floorplan: Floorplan,
            moves: int = 20_000, seed: int = 0,

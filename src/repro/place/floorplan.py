@@ -68,12 +68,13 @@ class Floorplan:
                    num_rows=num_rows)
 
     @classmethod
-    def for_gates(cls, num_gates: int, rows: int = 0) -> "Floorplan":
+    def for_gates(cls, num_gates: int, rows: int = 0,
+                  utilization: float = 35.0) -> "Floorplan":
         """The flows' default die: ``rows`` rows, else at least one base
-        gate of 12 µm² per ``num_gates`` at 35 % utilization."""
+        gate of 12 µm² per ``num_gates`` at ``utilization`` percent."""
         if rows:
             return cls.from_rows(rows)
-        return cls.for_area(max(1, num_gates) * 12.0 / 0.35)
+        return cls.for_area(max(1, num_gates) * 12.0 / (utilization / 100.0))
 
     def with_rows(self, num_rows: int) -> "Floorplan":
         """Same width, different row count (the paper's die escalation)."""

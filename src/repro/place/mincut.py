@@ -63,8 +63,8 @@ def mincut_place(num_cells: int, nets: Sequence[QpNet],
             + (time.perf_counter() - t0)
     t0 = time.perf_counter()
     if seed:
-        # Seeded jitter diversifies FM tie-breaking so callers can take
-        # the best of several placement attempts.
+        # Seeded jitter diversifies FM tie-breaking, so other seeds
+        # explore other placements.
         rng = np.random.default_rng(seed)
         scale = 0.01 * (floorplan.width + floorplan.height)
         guess = guess + rng.normal(0.0, scale, size=guess.shape)

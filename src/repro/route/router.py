@@ -29,8 +29,8 @@ integer demand sums divided once by capacity), so the two renditions
 take bit-identical decisions despite summing in different orders.
 
 The router ``seed`` feeds the negotiation's victim ordering (see
-:func:`victim_order`), which is what lets the placement-retry loop in
-``core.flow`` explore different rip-up schedules on each attempt.
+:func:`victim_order`): different seeds explore different rip-up
+schedules.
 
 Cross-evaluation route reuse: a :class:`RouteCache` carries the final
 per-segment routes of one run, keyed by each net's **pin GCell
@@ -125,8 +125,9 @@ class RouteCache:
     the MST decomposition (:func:`repro.route.steiner.gcell_signature`),
     so a cached entry can seed any later net with the same signature on
     a compatible grid.  Routers only *read* the cache; the flow layer
-    calls :meth:`store` once per accepted evaluation, which keeps
-    retry fan-outs deterministic (every attempt sees the same snapshot).
+    calls :meth:`store` once per clean evaluation, which keeps a pool
+    round deterministic (every K point of the round warm-starts from a
+    clone of the same snapshot).
     """
 
     def __init__(self) -> None:  # noqa: D107
@@ -202,9 +203,8 @@ def victim_order(count: int, rng: np.random.Generator) -> np.ndarray:
     Victims are collected in canonical (net name, segment index) order;
     this permutation — drawn from the router's seeded RNG stream, one
     draw per negotiation round — decides who reroutes first.  The
-    reference router consumes the identical stream, and placement
-    retries advance the seed so each attempt explores a different
-    schedule.
+    reference router consumes the identical stream, and another seed
+    explores a different schedule.
     """
     return rng.permutation(count)
 

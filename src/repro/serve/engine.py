@@ -15,11 +15,11 @@ against it.  The execution model is deterministic by construction:
   die), and because every cache is a pure speedup, the emitted result
   lines are byte-identical either way (asserted by
   ``tests/serve/test_scheduler.py`` and ``benchmarks/bench_serve.py``).
-* **Parallelism also lives inside jobs.**  Each job's K points,
-  portfolio probes and placement attempts fan out over the
-  :mod:`repro.exec` pool (``workers`` = the engine default or the
-  job's override), with the PR 1/PR 7 guarantees intact: rows are
-  bit-identical at any worker count.  Inside a chain worker the inner
+* **Parallelism also lives inside jobs.**  Each job's K points and
+  portfolio probes fan out over the :mod:`repro.exec` pool
+  (``workers`` = the engine default or the job's override), with the
+  PR 1/PR 7 guarantees intact: rows are bit-identical at any worker
+  count.  Inside a chain worker the inner
   fan-out degrades to the serial loop (pool workers cannot fork), so
   ``serve_workers`` and ``workers`` are complementary, not
   multiplicative.
@@ -43,9 +43,10 @@ tallies (``serve.jobs_done``, ``serve.jobs_ok``, ``serve.slow_jobs``
 and the point-work counters ``route.routes_reused``,
 ``route.reuse_skipped``, ``cover.memo_hits`` and
 ``map.match_cache_hits`` summed over its K points) and feeds the
-histograms of its latency, queue wait and per-phase (map / place /
-route / covering DP) times and the rolling gauge of the estimated
-cache footprint.  A chain worker sends back its engine's
+histograms of its latency, queue wait and per-phase times (its
+points' ``map``, ``place`` and ``route`` span durations and
+``cover.t_dp``) and the rolling gauge of the estimated cache
+footprint.  A chain worker sends back its engine's
 :meth:`ServeEngine.stats` — cache counters included — which the
 engine merges in chain order before it emits the chain's jobs in
 submission order.  :meth:`ServeEngine.stats` (the session caches'
@@ -70,7 +71,7 @@ import os
 import re
 import time
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple)
+    Callable, Dict, Iterable, List, Mapping, Optional, Tuple)
 
 from ..core import (
     EvalPoint,
@@ -97,24 +98,24 @@ __all__ = ["ServeEngine"]
 _POINT_WORK_KEYS = ("route.routes_reused", "route.reuse_skipped",
                     "cover.memo_hits", "map.match_cache_hits")
 
-#: (histogram key, per-point stats key) — the per-phase wall-times
-#: summed over a job's evaluated points into latency histograms.
-_PHASE_HISTOGRAMS = (("serve.map_seconds", "map.t_total"),
-                     ("serve.place_seconds", "eval.t_place"),
-                     ("serve.route_seconds", "eval.t_route"),
-                     ("serve.cover_seconds", "cover.t_dp"))
+#: (histogram key, span name) — a job's per-phase wall-time is the
+#: summed duration of its points' spans of that name.
+_PHASE_SPANS = (("serve.map_seconds", "map"),
+                ("serve.place_seconds", "place"),
+                ("serve.route_seconds", "route"))
 
 
 def _tally(jobs: int, ok: int, slow: int,
-           points: Sequence[EvalPoint]) -> StatsRegistry:
+           counters: Mapping[str, float]) -> StatsRegistry:
     """Job tallies as ``work`` stats: jobs finished, ok and slow, and
-    the :data:`_POINT_WORK_KEYS` counters summed over ``points``."""
+    the :data:`_POINT_WORK_KEYS` counters of ``counters`` (the merged
+    counters of a job's points' spans)."""
     tally = StatsRegistry()
     tally.work("serve.jobs_done", jobs)
     tally.work("serve.jobs_ok", ok)
     tally.work("serve.slow_jobs", slow)
     for key in _POINT_WORK_KEYS:
-        tally.work(key, sum(int(p.stats.get(key, 0)) for p in points))
+        tally.work(key, int(counters.get(key, 0)))
     return tally
 
 
@@ -179,7 +180,7 @@ class ServeEngine:
         self.results: List[JobResult] = []
         #: The session's tallies and instruments, plus every parallel
         #: chain's registry; :meth:`stats` adds this engine's caches.
-        self.metrics = _tally(0, 0, 0, ())
+        self.metrics = _tally(0, 0, 0, {})
         self.metrics.env("serve.serve_workers", self.serve_workers)
         self.metrics.env("serve.workers", self.workers)
         self._t_jobs: List[dict] = []
@@ -232,18 +233,22 @@ class ServeEngine:
         self._t_wall += t_job
         self.results.append(result)
 
-    def _observe_job(self, result: JobResult, points: List[Any],
+    def _observe_job(self, result: JobResult, points: List[EvalPoint],
                      t_job: float, queue_wait: float) -> None:
         """Feed one finished job into the tallies and instruments."""
         slow = bool(self.slow_job_s) and t_job > self.slow_job_s
-        self.metrics.merge(_tally(1, int(result.ok), int(slow), points))
+        spans = [span for p in points for span in p.trace.iter_spans()]
+        counters = StatsRegistry.merged(span.counters for span in spans)
+        self.metrics.merge(_tally(1, int(result.ok), int(slow), counters))
         self.metrics.observe("serve.job_seconds", t_job)
         self.metrics.observe("serve.queue_wait_seconds", max(0.0,
                                                              queue_wait))
-        for key, stat in _PHASE_HISTOGRAMS:
-            seconds = sum(float(p.stats.get(stat, 0.0)) for p in points)
-            if points:
-                self.metrics.observe(key, seconds)
+        if points:
+            for key, name in _PHASE_SPANS:
+                self.metrics.observe(key, sum(span.duration for span in spans
+                                              if span.name == name))
+            self.metrics.observe("serve.cover_seconds",
+                                 counters.get("cover.t_dp", 0.0))
         self.metrics.record("serve.cache_bytes_recent",
                             float(self.caches.cache_bytes()))
         if slow and self.tracer is not None:

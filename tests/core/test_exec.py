@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits import random_pla
 from repro.core import FlowConfig, k_sweep
-from repro.exec import default_workers, derive_seed, fan_out, pool_available
+from repro.exec import default_workers, fan_out, pool_available
 from repro.library import CORELIB018
 from repro.network import decompose
 from repro.obs import StatsRegistry, Tracer
@@ -48,12 +48,6 @@ class TestFanOut:
     def test_task_error_propagates(self):
         with pytest.raises(ValueError):
             fan_out(_boom, None, [1, 2], workers=1)
-
-    def test_derive_seed_deterministic(self):
-        assert derive_seed(7, 0) == 7
-        assert [derive_seed(3, i) for i in range(4)] == \
-            [derive_seed(3, i) for i in range(4)]
-        assert len({derive_seed(0, i) for i in range(100)}) == 100
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
@@ -185,16 +179,53 @@ class TestParallelKSweepDeterminism:
         for key in ("exec.workers", "exec.parallel"):
             assert key in sweep.counters, key
 
+    def test_fallback_round_maps_with_the_loops_matcher(self, sweep_setup,
+                                                        monkeypatch):
+        """A pool round that falls back to the serial loop maps its K
+        points with the loop's matcher instead of building another."""
+        import repro.core.flow as flow_mod
+        import repro.exec.pool as pool_mod
+
+        if not pool_available():
+            pytest.skip("no process pool on this platform")
+        base, config, floorplan, positions = sweep_setup
+        k_values = [0.0, 0.001, 0.01]
+        serial = k_sweep(base, floorplan, config, k_values=k_values,
+                         positions=positions)
+
+        def induced_failure(fn, payload, tasks, nproc, deliver):
+            raise RuntimeError("induced pool failure")
+
+        built = []
+
+        class CountingMatcher(flow_mod.Matcher):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "_fan_out_pool", induced_failure)
+        monkeypatch.setattr(flow_mod, "Matcher", CountingMatcher)
+        points = k_sweep(base, floorplan, config, k_values=k_values,
+                         positions=positions, workers=2)
+        assert [p.row() for p in points] == [p.row() for p in serial]
+        assert points[0].stats["exec.fallback"] == 1
+        assert len(built) == 1
+
     def test_instrumentation_present(self, sweep_setup):
         base, config, floorplan, positions = sweep_setup
         points = k_sweep(base, floorplan, config, k_values=[0.0, 0.001],
                          positions=positions)
         for point in points:
-            for key in ("map.t_total", "eval.t_total", "eval.t_place",
-                        "eval.t_route", "map.t_partition", "map.t_cover",
-                        "map.t_build", "map.match_cache_hits",
-                        "map.match_cache_misses"):
+            for key in ("map.t_partition", "map.t_cover", "map.t_build",
+                        "map.match_cache_hits", "map.match_cache_misses",
+                        "place.t_mincut", "place.t_legalize",
+                        "route.t_init", "route.t_negotiate"):
                 assert key in point.stats, key
+            # Phase wall-times are the spans' own durations.
+            phases = {span.name: span for span in point.trace.iter_spans()}
+            assert set(phases) == {"k_point", "map", "evaluate", "place",
+                                   "route"}
+            assert all(span.duration > 0.0 for span in phases.values())
         # The matcher memo is shared across the sweep: the second K
         # re-uses the first K's enumerations.
         assert points[0].stats["match_cache_misses"] > 0

@@ -336,11 +336,9 @@ class TestTiming:
 
 
 class TestPlaceAttemptSeeds:
-    """Regression: routing retries must advance the router seed too.
-
-    The pre-fix retry loop re-seeded only the placer, so every attempt
-    re-rolled placement against a frozen router RNG stream.
-    """
+    """An evaluation places and routes once, and both the placer and the
+    router are seeded with ``config.seed`` (the router seed drives the
+    negotiation's victim ordering), also when the routing fails."""
 
     def test_router_seed_advances_with_attempt(self, flow_setup, monkeypatch):
         import repro.core.flow as flow_mod
@@ -349,24 +347,31 @@ class TestPlaceAttemptSeeds:
         mapping = flow_mod.map_network(
             base, config.library, partition_style="dagon")
 
-        seeds = []
+        seeds = {"place": [], "route": []}
         real_router = flow_mod.GlobalRouter
+        real_place = flow_mod.place_netlist
 
         class SpyRouter(real_router):
             def __init__(self, *args, **kwargs):
-                seeds.append(kwargs.get("seed"))
+                seeds["route"].append(kwargs.get("seed"))
                 super().__init__(*args, **kwargs)
 
             def route(self, points):
                 routing = super().route(points)
-                routing.violations = 1   # force every attempt to "fail"
+                routing.violations = 1   # a failed routing is not retried
                 return routing
 
+        def spy_place(*args, **kwargs):
+            seeds["place"].append(kwargs.get("seed"))
+            return real_place(*args, **kwargs)
+
         monkeypatch.setattr(flow_mod, "GlobalRouter", SpyRouter)
-        cfg = FlowConfig(library=config.library, seed=11, place_attempts=3,
+        monkeypatch.setattr(flow_mod, "place_netlist", spy_place)
+        cfg = FlowConfig(library=config.library, seed=11,
                          max_route_iterations=2)
-        flow_mod.evaluate_netlist(mapping.netlist, floorplan, cfg)
-        assert seeds == [11, 12, 13]
+        point = flow_mod.evaluate_netlist(mapping.netlist, floorplan, cfg)
+        assert seeds == {"place": [11], "route": [11]}
+        assert point.violations == 1
 
 
 class TestCrossKRouteReuse:
@@ -471,14 +476,22 @@ class TestFlowTracing:
             assert point.trace is child
 
     def test_stats_duplicate_write_raises(self, flow_setup):
-        """Satellite: re-recording an existing key is an error, not a
-        silent overwrite (the old evaluate_netlist merge bug)."""
+        """Re-recording an existing key on a point's spans is an error,
+        not a silent overwrite (the old evaluate_netlist merge bug); the
+        merged :attr:`EvalPoint.stats` is a view that writes do not
+        reach."""
         base, config, floorplan, positions = flow_setup
         point = run_k_point(base, positions, floorplan, config, 0.0)
+        place, route = point.trace.children[1].children
         with pytest.raises(StatsCollisionError):
-            point.stats.time("eval.t_total", 0.0)
+            place.counters.time("place.t_mincut", 0.0)
+        with pytest.raises(StatsCollisionError):
+            route.counters.absorb(point.routing.stats)
         with pytest.raises(StatsCollisionError):
             point.stats.absorb(point.routing.stats)
+        view = point.stats
+        view.time("eval.t_probe", 0.0)
+        assert "eval.t_probe" not in point.stats
 
 
 class TestInjectedCaches:

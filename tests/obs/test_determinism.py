@@ -14,7 +14,8 @@ from repro.circuits import benchmark, random_pla
 from repro.core import FlowConfig, k_sweep, run_k_point
 from repro.library import CORELIB018
 from repro.network import decompose
-from repro.obs import METRIC, StatsCollisionError, StatsRegistry, Tracer
+from repro.obs import (METRIC, StatsCollisionError, StatsRegistry, Tracer,
+                       merged_counters)
 from repro.place import Floorplan, place_base_network
 
 K_VALUES = [0.0, 0.001, 0.01]
@@ -92,9 +93,9 @@ class TestSpanTreeDeterminism:
         assert [c.attrs["k"] for c in sweep.children] == K_VALUES
         k_point = sweep.children[0]
         assert [c.name for c in k_point.children] == ["map", "evaluate"]
-        attempt = k_point.children[1].children[0]
-        assert attempt.name == "attempt"
-        assert [c.name for c in attempt.children] == ["place", "route"]
+        evaluate = k_point.children[1]
+        assert [c.name for c in evaluate.children] == ["place", "route"]
+        assert all(not c.children for c in evaluate.children)
 
     def test_points_carry_their_subtree(self, sweep_setup):
         points, root = _traced_sweep(sweep_setup, workers=1)
@@ -131,6 +132,49 @@ class TestReuseDeterminism:
             root_parallel.children[0].skeleton()
 
 
+class TestOnePointLedger:
+    """A point's span subtree is its one ledger: ``EvalPoint.stats`` is
+    the subtree's counters merged, and each key sits on one span."""
+
+    K = [0.0, 0.0001, 0.00025]
+
+    @staticmethod
+    def _owners(point):
+        """Each key of the point's subtree -> the span that holds it."""
+        owners = {}
+        for span in point.trace.iter_spans():
+            for key in span.counters:
+                assert key not in owners, (key, owners[key], span.name)
+                owners[key] = span.name
+        merged = merged_counters(point.trace)
+        assert point.stats.as_dict() == merged.as_dict()
+        assert point.stats.kinds() == merged.kinds()
+        return owners
+
+    def test_fresh_reused_and_pool_points(self):
+        base = decompose(benchmark("pdc", 0.03))
+        config = FlowConfig(library=CORELIB018)
+        floorplan = Floorplan.for_gates(base.num_gates(), 11)
+        positions = place_base_network(base, floorplan)
+        serial = k_sweep(base, floorplan, config, k_values=self.K,
+                         positions=positions)
+        pooled = k_sweep(base, floorplan, config, k_values=self.K,
+                         positions=positions, workers=2)
+        fresh, reused, pool_point = serial[1], serial[2], pooled[0]
+        owners = {}
+        for label, point in (("fresh", fresh), ("reused", reused),
+                             ("pool", pool_point)):
+            owners[label] = self._owners(point)
+            for key, span in (("map.cells", "map"), ("cover.t_dp", "map"),
+                              ("place.t_mincut", "place"),
+                              ("route.violations", "route")):
+                assert owners[label][key] == span, (label, key)
+        assert "eval.reused" not in owners["fresh"]
+        assert owners["reused"]["eval.reused"] == "evaluate"
+        assert owners["pool"]["exec.workers"] == "k_point"
+        assert "exec.workers" not in owners["fresh"]
+
+
 class TestFlowStatsAreCollisionSafe:
     def test_absorbing_a_phase_twice_raises(self, sweep_setup):
         """Satellite: the old dict-update silently overwrote shared
@@ -146,4 +190,4 @@ class TestFlowStatsAreCollisionSafe:
         base, config, floorplan, positions = sweep_setup
         point = run_k_point(base, positions, floorplan, config, 0.0)
         namespaces = {key.split(".", 1)[0] for key in point.stats}
-        assert {"map", "route", "eval"} <= namespaces
+        assert namespaces == {"map", "cover", "place", "route"}

@@ -181,10 +181,6 @@ class TestReplayed:
         assert replay["route.iterations"] == 0
         assert replay["route.t_init"] == 0.0
 
-    def test_spent_times(self):
-        replay = _sample().replayed({"route.t_init": 0.5})
-        assert replay["route.t_init"] == 0.5
-
     def test_source_untouched(self):
         stats = _sample()
         stats.replayed()

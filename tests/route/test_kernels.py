@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import benchmark
 from repro.core.flow import FlowConfig, run_k_point
-from repro.exec import derive_seed
 from repro.library import CORELIB018
 from repro.network import decompose
 from repro.place import Floorplan
@@ -120,7 +119,7 @@ class TestRealCongestedDesign:
         router = GlobalRouter(floorplan, config.resources,
                               gcell_rows=config.gcell_rows,
                               max_iterations=config.max_route_iterations,
-                              seed=derive_seed(config.seed, 0))
+                              seed=config.seed)
         grid = RoutingGrid(floorplan, config.resources, config.gcell_rows)
         ref = route_reference(
             router, grid, point.placement.net_points(point.mapping.netlist),

@@ -136,6 +136,18 @@ class TestObservabilityFlags:
         assert "run/session_caches" in out
         assert "serve.netlist_misses" in out
 
+    def test_profile_lists_placer_phase_times(self, capsys):
+        """The placer's phase times are on the ``place`` spans, so the
+        merged-counter table lists them with the map and route ones."""
+        assert main(["ksweep", "spla@0.01", "--rows", "12",
+                     "--k", "0,0.005", "--profile"]) == 0
+        counters = {line.split("|")[0].strip(): line.split("|")[1].strip()
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.count("|") == 2}
+        for key in ("place.t_quadratic", "place.t_mincut",
+                    "place.t_legalize", "map.t_cover", "route.t_init"):
+            assert counters.get(key) == "time", key
+
 
 class TestOneJobServe:
     """``flow``, ``ksweep`` and ``ksearch`` fail like serve, through serve."""
@@ -188,6 +200,18 @@ class TestGatelessNetlists:
         assert main(["flow", blif]) == 0
         assert capsys.readouterr().out == \
             "K=0: area=0 util=0.0% violations=0\nconverged at K=0\n"
+
+    @pytest.mark.parametrize("flags", [["--k", "0.001"],
+                                       ["--partition", "placement"]],
+                             ids=["k", "placement"])
+    def test_map(self, blif, flags, capsys):
+        """The placement-aware mapping places the base network on the
+        same at-least-one-gate default die as the flows."""
+        assert main(["map", blif] + flags) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "cells=0 area=0.0 um2\n"
+        assert captured.out.startswith("module ")
+        assert captured.out.rstrip().endswith("endmodule")
 
     def test_sta(self, blif, name, capsys):
         assert main(["sta", blif]) == 0
