@@ -5,13 +5,13 @@ This module glues the substrates into the experiments the paper runs:
 * :func:`evaluate_netlist` — place, globally route and summarise one
   mapped netlist in a fixed floorplan (one row of Tables 1/2/4).
 * :func:`run_k_point` — map the placed base network at one K and
-  evaluate it, or reuse an :class:`EvalMemo` entry when the mapped
-  netlist was already evaluated in the same request.
+  evaluate it, reusing what an :class:`EvalMemo` kept from an earlier
+  evaluation of the same mapped netlist on the same die.
 * :class:`KLoop` — the one K loop: the base network and its placement
   are produced **once**, then re-mapped per K (the re-use the paper
   emphasises as the methodology's cheapness), serially or in process
-  pool rounds; K points that re-map to an already-evaluated netlist
-  skip placement and routing.
+  pool rounds; K points that re-map to an already-placed netlist skip
+  placement, and routing too while the route cache is unchanged.
 * :func:`k_sweep` — the Table 2/4 experiment: every K of the schedule.
 * :func:`congestion_aware_flow` — the Figure 3 loop: start at K = 0,
   evaluate the congestion map, raise K until the map is acceptable.
@@ -97,9 +97,10 @@ class EvalPoint:
     #: route), built identically on the serial and the process-pool
     #: paths; sweeps adopt it into the run's trace.  It is the point's
     #: one ledger: each counter sits on the span whose work it counts
-    #: (mapping stats on ``map``, ``place.t_*`` on ``place``, routing
-    #: stats on ``route``, ``eval.reused`` on a reused ``evaluate``, a
-    #: pool round's ``exec.*`` on ``k_point``).
+    #: (mapping stats on ``map``, ``place.t_*`` on ``place``,
+    #: ``place.reused`` on a replayed ``place``, routing stats on
+    #: ``route``, ``eval.reused`` on a reused ``evaluate``, a pool
+    #: round's ``exec.*`` on ``k_point``).
     trace: Optional[Span] = None
 
     @property
@@ -116,30 +117,44 @@ class EvalPoint:
                 self.utilization, self.violations)
 
 
+#: A placement with the ``place`` span that made it (:class:`EvalMemo`).
+Placed = Tuple[Placement, Span]
+
+
 def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
                      config: FlowConfig, k: float = 0.0,
-                     route_cache: Optional[RouteCache] = None) -> EvalPoint:
+                     route_cache: Optional[RouteCache] = None,
+                     placed: Optional[Placed] = None) -> EvalPoint:
     """Place + globally route one netlist; summarise like a table row.
 
     The placer and the router are both seeded with ``config.seed`` (the
     router seed drives the negotiation's victim ordering).
     ``route_cache`` warm-starts unchanged nets from a previous
     evaluation's routes; the router only reads it, and a clean routing
-    then refreshes it.
+    then refreshes it.  ``placed`` is the placement of an equal netlist
+    (same :meth:`~MappedNetlist.structure_key`) on this die under this
+    config; it is routed instead of placing the netlist again.
 
     The returned point's :attr:`EvalPoint.trace` is an ``evaluate``
     span with a ``place`` child, which carries the placer's
     ``place.t_*`` phase times, and a ``route`` child, which carries the
-    routing's stats.
+    routing's stats.  With ``placed`` the ``place`` child is its span
+    replayed (:meth:`Span.replayed`) with ``place.reused`` (work) = 1.
     """
     tracer = Tracer("evaluate", k=k)
     area = netlist.total_area(config.library)
-    place_timings: Dict[str, float] = {}
-    with tracer.span("place") as sp_place:
-        placement = place_netlist(netlist, config.library, floorplan,
-                                  seed=config.seed, timings=place_timings)
-    for phase, seconds in sorted(place_timings.items()):
-        sp_place.counters.time(f"place.{phase}", seconds)
+    if placed is None:
+        place_timings: Dict[str, float] = {}
+        with tracer.span("place") as sp_place:
+            placement = place_netlist(netlist, config.library, floorplan,
+                                      seed=config.seed,
+                                      timings=place_timings)
+        for phase, seconds in sorted(place_timings.items()):
+            sp_place.counters.time(f"place.{phase}", seconds)
+    else:
+        placement, sp_place = placed[0], placed[1].replayed()
+        sp_place.counters.work("place.reused", 1)
+        tracer.adopt(sp_place)
     router = GlobalRouter(floorplan, config.resources,
                           gcell_rows=config.gcell_rows,
                           max_iterations=config.max_route_iterations,
@@ -168,48 +183,99 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
         placement=placement, routing=routing, trace=tracer.close())
 
 
+#: Running-size weights of :attr:`EvalMemo.memo_nbytes`, fitted
+#: against object walks of memos filled by K sweeps: bytes per placed
+#: cell or pad (its position and its share of the netlist's structure
+#: key), and per routed net and committed routing edge.
+_PLACED_NBYTES = 500
+_NET_NBYTES = 1000
+_EDGE_NBYTES = 125
+
+
+def _routing_nbytes(routing: RoutingResult) -> int:
+    """Estimated bytes of one kept routing (see
+    :attr:`EvalMemo.memo_nbytes`)."""
+    return sum(_NET_NBYTES + _EDGE_NBYTES * len(route.edges)
+               for route in routing.routes.values())
+
+
 class EvalMemo:
-    """The evaluations one request has run, keyed by netlist structure.
+    """The evaluations run on one die, keyed by netlist structure.
 
     :func:`evaluate_netlist` is a deterministic function of the netlist,
     the die, the config and the route cache's contents: its seeds are
-    ``config.seed``, and the router only reads the cache.  A
-    :class:`KLoop` (one die, one config) therefore owns one memo and
-    passes it to every serial :func:`run_k_point`; a
-    K point whose mapped netlist has the same
-    :meth:`~repro.network.netlist.MappedNetlist.structure_key` as one
-    evaluated earlier, under the same cache contents, reuses that
-    evaluation's placement and routing instead of running them again.
-    The reuse is exact by construction.
+    ``config.seed``, and the router only reads the cache.  A memo
+    therefore serves K loops on one die under one config: a
+    :class:`KLoop` builds one per request unless a caller injects a
+    longer-lived one (:mod:`repro.serve` keeps one per (netlist, die)
+    beside that pair's route pool), and passes it to every serial
+    :func:`run_k_point`.  Netlists are told apart by
+    :meth:`~repro.network.netlist.MappedNetlist.structure_key`, whole
+    keys compared.  Every reuse is exact by construction.  The memo
+    keeps two tiers:
 
-    The cache changes in one way only: :meth:`RouteCache.store` installs
-    a new ``routes`` dict (after a clean routing, or a parallel round's
-    merge).  The memo keeps the dict its entries saw and forgets every
-    entry once the cache holds another one; an evaluation that stored
-    is not recorded, since it saw the old contents.  With no cache
-    (``route_reuse`` off) entries stay valid for the whole request.
+    * **Placements.**  :func:`~repro.place.placer.place_netlist` reads
+      only the netlist, the die, the library and ``config.seed``, so a
+      netlist placed once is never placed again: later evaluations of
+      an equal netlist route the stored placement (``placed`` of
+      :func:`evaluate_netlist`).  These entries are never forgotten.
+    * **Whole evaluations.**  A netlist evaluated under the route
+      cache's current contents reuses that evaluation's placement and
+      routing instead of running them again.  The cache changes in one
+      way only: :meth:`RouteCache.store` installs a new ``routes`` dict
+      (after a clean routing, or a parallel round's merge).  The memo
+      keeps the dict its evaluations saw and forgets them all once the
+      cache holds another one; an evaluation that stored is not kept,
+      since it saw the old contents.  With no cache (``route_reuse``
+      off) they stay valid for the memo's life.
+
+    :attr:`memo_nbytes` is a running estimate of the bytes the memo
+    holds, like :attr:`Matcher.memo_nbytes`.
     """
 
     def __init__(self) -> None:  # noqa: D107
+        self._placed: Dict[Tuple, Placed] = {}
         self._done: Dict[Tuple, EvalPoint] = {}
         self._routes: Optional[dict] = None
+        self._placed_nbytes = 0
+        self._done_nbytes = 0
+
+    @property
+    def memo_nbytes(self) -> int:
+        """Estimated bytes of the kept placements and routings."""
+        return self._placed_nbytes + self._done_nbytes
+
+    def _current(self, route_cache: Optional[RouteCache]) -> bool:
+        """Whether the kept evaluations saw ``route_cache``'s contents;
+        if not, forget them and adopt the contents it holds now."""
+        routes = route_cache.routes if route_cache is not None else None
+        if routes is self._routes:
+            return True
+        self._done.clear()
+        self._done_nbytes = 0
+        self._routes = routes
+        return False
 
     def evaluate(self, netlist: MappedNetlist, floorplan: Floorplan,
                  config: FlowConfig, k: float,
                  route_cache: Optional[RouteCache]) -> EvalPoint:
-        """:func:`evaluate_netlist`, or a reuse of an equal netlist's."""
-        routes = route_cache.routes if route_cache is not None else None
-        if routes is not self._routes:
-            self._done.clear()
-            self._routes = routes
+        """:func:`evaluate_netlist`, reusing what an equal netlist's
+        evaluation left behind."""
+        self._current(route_cache)
         key = netlist.structure_key()
         done = self._done.get(key)
         if done is not None:
             return _reuse_evaluation(done, k)
+        placed = self._placed.get(key)
         point = evaluate_netlist(netlist, floorplan, config, k=k,
-                                 route_cache=route_cache)
-        if route_cache is None or route_cache.routes is routes:
+                                 route_cache=route_cache, placed=placed)
+        if placed is None:
+            self._placed[key] = (point.placement, point.trace.children[0])
+            self._placed_nbytes += _PLACED_NBYTES * (
+                len(point.placement.positions) + len(point.placement.pads))
+        if self._current(route_cache):
             self._done[key] = point
+            self._done_nbytes += _routing_nbytes(point.routing)
         return point
 
 
@@ -242,10 +308,11 @@ def run_k_point(base: BaseNetwork, positions: PositionMap,
     base network and its placement; a :class:`KLoop` computes them once
     and passes them to every K point.  ``route_cache`` carries routes
     between K points: nets whose pin GCell signature is unchanged
-    warm-start from the previous K's final route.  ``memo``, owned by a
-    :class:`KLoop`, lets a point whose netlist that loop has already
-    evaluated reuse the evaluation (:class:`EvalMemo`); without one the
-    point is always placed and routed.
+    warm-start from the previous K's final route.  ``memo``, the
+    :class:`KLoop`'s, lets a point whose netlist was already placed on
+    this die reuse the placement, and the routing too while the route
+    cache is unchanged (:class:`EvalMemo`); without one the point is
+    always placed and routed.
     """
     objective = area_congestion(k)
     tracer = Tracer("k_point", k=k)
@@ -290,8 +357,8 @@ class KLoop:
     (:func:`run_k_point`).  The constructor builds what every K point
     shares: the technology-independent positions, the partition, the
     matcher (match memo + cover memo), the warm-start route cache and
-    one :class:`EvalMemo`.  ``positions`` / ``partition`` / ``matcher`` /
-    ``route_cache`` inject session-scoped copies (see
+    the :class:`EvalMemo`.  ``positions`` / ``partition`` / ``matcher`` /
+    ``route_cache`` / ``memo`` inject session-scoped copies (see
     :mod:`repro.serve`); all are pure speedups, so the rows are those
     of an uninjected loop.  With ``config.route_reuse`` off there is no
     route cache, and an injected one is ignored.
@@ -318,7 +385,8 @@ class KLoop:
                  tracer: Optional[Tracer] = None,
                  partition: Optional[Partition] = None,
                  matcher: Optional[Matcher] = None,
-                 route_cache: Optional[RouteCache] = None):  # noqa: D107
+                 route_cache: Optional[RouteCache] = None,
+                 memo: Optional[EvalMemo] = None):  # noqa: D107
         if positions is None:
             positions = place_base_network(base, floorplan, seed=config.seed)
         if partition is None:
@@ -333,7 +401,7 @@ class KLoop:
         self.matcher = matcher if matcher is not None \
             else Matcher(base, config.library)
         self.cache = route_cache
-        self.memo = EvalMemo()
+        self.memo = memo if memo is not None else EvalMemo()
         self.grid = tuple(k_values)
         self.workers = max(1, config.workers if workers is None else workers)
         #: Violations still counted as routable (:meth:`routable`).
@@ -435,7 +503,8 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
             tracer: Optional[Tracer] = None,
             partition: Optional[Partition] = None,
             matcher: Optional[Matcher] = None,
-            route_cache: Optional[RouteCache] = None) -> List[EvalPoint]:
+            route_cache: Optional[RouteCache] = None,
+            memo: Optional[EvalMemo] = None) -> List[EvalPoint]:
     """The Table 2/4 experiment: one mapping + evaluation per K.
 
     A :class:`KLoop` places the technology-independent network once and
@@ -453,21 +522,21 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
     Warm starts are pure speedups — a warm-started point reports the
     same row as a cold one.  With ``route_reuse`` off no round depends
     on another, so the sweep is one round of every K point.  A K point
-    run serially that re-maps to an earlier point's netlist, while the
-    route cache is unchanged, reuses that evaluation
+    run serially that re-maps to an earlier point's netlist reuses its
+    placement, and its routing too while the route cache is unchanged
     (:class:`EvalMemo`); pool tasks evaluate every point.
 
     ``tracer``, when given, receives one ``sweep`` span whose children
     are the K points' subtrees, adopted in K order on every plan.
 
-    ``partition`` / ``matcher`` / ``route_cache`` inject session-scoped
-    caches (see :class:`KLoop`); the returned rows are identical to an
-    uninjected sweep's.
+    ``partition`` / ``matcher`` / ``route_cache`` / ``memo`` inject
+    session-scoped caches (see :class:`KLoop`); the returned rows are
+    identical to an uninjected sweep's.
     """
     loop = KLoop(base, floorplan, config, k_values, positions=positions,
                  workers=workers, progress=progress, tracer=tracer,
                  partition=partition, matcher=matcher,
-                 route_cache=route_cache)
+                 route_cache=route_cache, memo=memo)
     n = len(loop.grid)
     size = loop.workers if loop.cache is not None else max(1, n)
     with loop.span("sweep", points=n) as span:
@@ -512,8 +581,8 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
                           tracer: Optional[Tracer] = None,
                           partition: Optional[Partition] = None,
                           matcher: Optional[Matcher] = None,
-                          route_cache: Optional[RouteCache] = None
-                          ) -> FlowResult:
+                          route_cache: Optional[RouteCache] = None,
+                          memo: Optional[EvalMemo] = None) -> FlowResult:
     """The modified ASIC design flow of Figure 3.
 
     Place the technology-independent netlist once; map with K = 0;
@@ -526,15 +595,15 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
     ``tracer``, when given, receives one ``flow`` span whose children
     are the evaluated K points' subtrees in schedule order.
 
-    ``partition`` / ``matcher`` / ``route_cache``, when given, inject
-    session-scoped caches (see :class:`KLoop`) — pure speedups,
-    identical results.
+    ``partition`` / ``matcher`` / ``route_cache`` / ``memo``, when
+    given, inject session-scoped caches (see :class:`KLoop`) — pure
+    speedups, identical results.
     """
     # The loop is inherently sequential (each K's verdict gates the
     # next), so it evaluates one point at a time.
     loop = KLoop(base, floorplan, config, k_schedule, positions=positions,
                  tolerance=tolerance, tracer=tracer, partition=partition,
-                 matcher=matcher, route_cache=route_cache)
+                 matcher=matcher, route_cache=route_cache, memo=memo)
     with loop.span("flow", tolerance=tolerance) as flow_span:
         verdict = FLOW_SCHEDULE_EXHAUSTED
         for i in range(len(loop.grid)):

@@ -54,7 +54,7 @@ from ..network.dag import BaseNetwork
 from ..obs import StatsRegistry, Tracer
 from ..place.floorplan import Floorplan
 from ..route.router import RouteCache
-from .flow import EvalPoint, FlowConfig, KLoop, PAPER_K_VALUES
+from .flow import EvalMemo, EvalPoint, FlowConfig, KLoop, PAPER_K_VALUES
 from .matching import Matcher
 from .partition import Partition
 from .wirecost import PositionMap
@@ -230,7 +230,8 @@ def k_search(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
              tracer: Optional[Tracer] = None,
              partition: Optional[Partition] = None,
              matcher: Optional[Matcher] = None,
-             route_cache: Optional[RouteCache] = None) -> KSearchResult:
+             route_cache: Optional[RouteCache] = None,
+             memo: Optional[EvalMemo] = None) -> KSearchResult:
     """Find the minimum routable K of the grid without sweeping it all.
 
     ``base`` is placed once (unless ``positions`` is given) and
@@ -246,9 +247,9 @@ def k_search(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
     ``tracer``, when given, receives one ``ksearch`` span whose
     children are the evaluated points' subtrees in evaluation order.
 
-    ``partition`` / ``matcher`` / ``route_cache`` inject session-scoped
-    caches (see :class:`~repro.core.flow.KLoop`) — pure speedups, same
-    chosen K and identical evaluated rows.
+    ``partition`` / ``matcher`` / ``route_cache`` / ``memo`` inject
+    session-scoped caches (see :class:`~repro.core.flow.KLoop`) — pure
+    speedups, same chosen K and identical evaluated rows.
     """
     grid = tuple(sorted({float(k) for k in k_values}))
     if not grid:
@@ -259,7 +260,7 @@ def k_search(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
     loop = KLoop(base, floorplan, config, grid, positions=positions,
                  workers=workers, tolerance=tolerance, prefer_low_k=True,
                  progress=progress, tracer=tracer, partition=partition,
-                 matcher=matcher, route_cache=route_cache)
+                 matcher=matcher, route_cache=route_cache, memo=memo)
     with loop.span("ksearch", strategy=strategy, points=len(grid)) as span:
         chosen_i = _STRATEGY_FNS[strategy](loop)
         evals = len(loop.order)

@@ -29,6 +29,12 @@ which is reusable *across* jobs, keyed so that reuse is always sound:
   bit-identical.  A job on a different die or netlist gets its own
   pool entry, so it can never adopt a foreign shard (the grid key
   inside :class:`RouteCache` backstops even hand-constructed misuse).
+* **Evaluations** — one :class:`~repro.core.flow.EvalMemo` per
+  (netlist, die), the route pool's key: every mapped netlist a job
+  places on that die is placed once per session, and re-routed only
+  when the pool's routes changed since it was last routed.  Keying by
+  source, never by netlist content alone, keeps each memo beside the
+  one pool its whole evaluations can be reused under.
 
 Every cache is a pure speedup: mapping, placement and match results are
 deterministic functions of their keys, and route warm starts never
@@ -40,7 +46,7 @@ Lifecycle
 Long sessions cannot grow without bound, so every family is an LRU
 store governed by one :class:`CacheBounds`: ``max_entries`` caps each
 family's entry count, ``max_bytes`` caps the *estimated* total byte
-footprint across all four families (evicting the globally
+footprint across all five families (evicting the globally
 least-recently-used entry first, whatever family it lives in).
 Evictions are counted per family and in total, and the running byte
 estimate is exported as the ``serve.cache_bytes`` gauge — both visible
@@ -54,9 +60,9 @@ layouts are written through on first computation, route pools after
 every job that advanced their snapshot, and a *cold* process warm
 starts from disk where the version/fingerprint/key guards allow —
 stale or corrupt entries are skipped, never adopted (see
-:mod:`repro.serve.persist`).  Memory hit/miss counters are unaffected
-by the disk tier: a disk hit is still a memory miss, it just skips the
-recompute.
+:mod:`repro.serve.persist`).  Matchers and evaluation memos live in
+memory only.  Memory hit/miss counters are unaffected by the disk
+tier: a disk hit is still a memory miss, it just skips the recompute.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from ..circuits import DEFAULT_SCALE, benchmark
-from ..core import FlowConfig, Matcher, Partition, PositionMap
+from ..core import EvalMemo, FlowConfig, Matcher, Partition, PositionMap
 from ..core.partition import partition as make_partition
 from ..io import parse_blif
 from ..library.cell import CellLibrary
@@ -89,7 +95,7 @@ __all__ = ["CacheBounds", "SessionCaches", "approx_nbytes", "die_key",
 DieKey = Tuple[float, float, int]
 
 #: The cache family names, in reporting order.
-FAMILIES = ("netlist", "layout", "matcher", "route_pool")
+FAMILIES = ("netlist", "layout", "matcher", "route_pool", "evaluation")
 
 
 def _benchmark_spec(source: str) -> Tuple[str, float]:
@@ -126,10 +132,10 @@ class CacheBounds:
     """Size limits for one :class:`SessionCaches` (0 = unbounded).
 
     ``max_entries`` bounds each family independently (a session may
-    hold at most that many netlists, layouts, matchers and route pools
-    *each*); ``max_bytes`` bounds the estimated total footprint of all
-    families together.  Both are enforced on insertion by evicting
-    least-recently-used entries first.
+    hold at most that many netlists, layouts, matchers, route pools and
+    evaluation memos *each*); ``max_bytes`` bounds the estimated total
+    footprint of all families together.  Both are enforced on insertion
+    by evicting least-recently-used entries first.
     """
 
     max_entries: int = 0
@@ -215,7 +221,7 @@ class _Entry:
 
 
 class SessionCaches:
-    """The four cross-job cache families plus lifecycle bookkeeping.
+    """The five cross-job cache families plus lifecycle bookkeeping.
 
     ``bounds`` activates LRU eviction (see :class:`CacheBounds`);
     ``persist`` attaches the on-disk tier (see
@@ -390,6 +396,25 @@ class SessionCaches:
         self._put("route_pool", rkey, cache)
         return cache
 
+    # -- evaluations -----------------------------------------------------
+
+    def evaluation(self, key: str, floorplan: Floorplan) -> EvalMemo:
+        """The per-(netlist, die) evaluation memo (placements and whole
+        evaluations of the netlists mapped from ``key`` on that die).
+
+        Keyed like :meth:`route_pool`, so the pool a memo's whole
+        evaluations saw is the one its next job routes with.  Never
+        persisted; the memo grows with every job and :meth:`sync` keeps
+        the entry's byte estimate in step with it.
+        """
+        ekey = (key, die_key(floorplan))
+        cached = self._get("evaluation", ekey)
+        if cached is not None:
+            return cached
+        memo = EvalMemo()
+        self._put("evaluation", ekey, memo)
+        return memo
+
     @staticmethod
     def _routes_equal(saved: Any, routes: Dict[Any, Any]) -> bool:
         """Whether a pool's routes match the last-persisted snapshot."""
@@ -427,16 +452,18 @@ class SessionCaches:
         """Refresh the byte estimates of entries that grew, and flush
         advanced route-pool snapshots to the disk tier.
 
-        The engine calls this after every job.  Two families *grow*
+        The engine calls this after every job.  Three families *grow*
         after insertion, so their accounting is brought up to date here
         rather than on some later, unrelated access: matchers fill their
-        match memos (their running ``memo_nbytes`` estimate is added to
-        the insertion-time walk, so a filled matcher is never re-walked)
-        and route pools take clean snapshots from the flow layer (they
-        are re-walked, and persisted, only when the snapshot changed).
+        match memos and evaluation memos keep placements and routings
+        (their running ``memo_nbytes`` estimate is added to the
+        insertion-time walk, so a filled memo is never re-walked), and
+        route pools take clean snapshots from the flow layer (they are
+        re-walked, and persisted, only when the snapshot changed).
         """
-        for entry in self._families["matcher"].values():
-            entry.nbytes = entry.base + entry.value.memo_nbytes
+        for family in ("matcher", "evaluation"):
+            for entry in self._families[family].values():
+                entry.nbytes = entry.base + entry.value.memo_nbytes
         entries = self._families["route_pool"]
         for rkey, entry in entries.items():
             cache = entry.value

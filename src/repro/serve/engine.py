@@ -24,9 +24,11 @@ against it.  The execution model is deterministic by construction:
   ``serve_workers`` and ``workers`` are complementary, not
   multiplicative.
 * **Caches are injected, not rebuilt — and they have a lifecycle.**
-  The netlist, layout, matcher and per-(die, netlist) route-cache pool
-  come from the session cache; :class:`~repro.serve.caches.CacheBounds`
-  adds LRU entry/byte limits for long sessions, and ``cache_dir``
+  The netlist, layout, matcher and the per-(die, netlist) route-cache
+  pool and evaluation memo come from the session cache, so a netlist a
+  job maps is placed once per session on each die;
+  :class:`~repro.serve.caches.CacheBounds` adds LRU entry/byte limits
+  for long sessions, and ``cache_dir``
   attaches the persistent disk tier so even *cold* engines warm-start
   layouts and route pools (:mod:`repro.serve.persist`).
 
@@ -41,10 +43,10 @@ The engine keeps one :class:`~repro.obs.registry.StatsRegistry` per
 session (:attr:`ServeEngine.metrics`).  Every finished job adds its
 tallies (``serve.jobs_done``, ``serve.jobs_ok``, ``serve.slow_jobs``
 and the point-work counters ``route.routes_reused``,
-``route.reuse_skipped``, ``cover.memo_hits`` and
-``map.match_cache_hits`` summed over its K points) and feeds the
-histograms of its latency, queue wait and per-phase times (its
-points' ``map``, ``place`` and ``route`` span durations and
+``route.reuse_skipped``, ``cover.memo_hits``, ``map.match_cache_hits``,
+``eval.reused`` and ``place.reused`` summed over its K points) and
+feeds the histograms of its latency, queue wait and per-phase times
+(its points' ``map``, ``place`` and ``route`` span durations and
 ``cover.t_dp``) and the rolling gauge of the estimated cache
 footprint.  A chain worker sends back its engine's
 :meth:`ServeEngine.stats` — cache counters included — which the
@@ -96,7 +98,8 @@ __all__ = ["ServeEngine"]
 #: Stats keys summed over a job's evaluated points into the engine's
 #: registry (all plan-dependent by design).
 _POINT_WORK_KEYS = ("route.routes_reused", "route.reuse_skipped",
-                    "cover.memo_hits", "map.match_cache_hits")
+                    "cover.memo_hits", "map.match_cache_hits",
+                    "eval.reused", "place.reused")
 
 #: (histogram key, span name) — a job's per-phase wall-time is the
 #: summed duration of its points' spans of that name.
@@ -209,9 +212,9 @@ class ServeEngine:
             result, points = JobResult(
                 id=job.id, cmd=job.cmd, source=job.source, ok=False,
                 verdict="error", error=f"{type(exc).__name__}: {exc}"), []
-        # Matchers and route pools may have grown during the job:
-        # re-account them (writing advanced route pools through to the
-        # disk tier) before the next job.
+        # Matchers, route pools and evaluation memos may have grown
+        # during the job: re-account them (writing advanced route pools
+        # through to the disk tier) before the next job.
         self.caches.sync()
         t_job = time.perf_counter() - t0
         if self.artifacts_dir and points:
@@ -268,10 +271,11 @@ class ServeEngine:
         matcher = self.caches.matcher(key, base)
         route_cache = (self.caches.route_pool(key, floorplan)
                        if config.route_reuse else None)
+        memo = self.caches.evaluation(key, floorplan)
         k_values = list(job.k) if job.k is not None else list(PAPER_K_VALUES)
         injected = dict(positions=positions, tracer=self.tracer,
                         partition=part, matcher=matcher,
-                        route_cache=route_cache)
+                        route_cache=route_cache, memo=memo)
         if job.cmd == "flow":
             flow = congestion_aware_flow(
                 base, floorplan, config, k_schedule=k_values,

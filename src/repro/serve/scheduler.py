@@ -8,13 +8,13 @@ chain**:
 * Two jobs are *dependent* (same chain) when they share an affinity
   key — the (netlist content, die) pair — because those are exactly the
   jobs that feed each other's warm starts: same layout entry, same
-  matcher memos, same per-(netlist, die) route pool.  Within a chain,
-  jobs run **sequentially, in submission order**, so every job's cache
-  reads see exactly the snapshot the fully sequential engine would
-  have produced for that (netlist, die).
-* Jobs with different keys share no route pool or layout entry, so
-  their relative order cannot change any warm start a job observes —
-  they interleave freely across chains.
+  matcher memos, same per-(netlist, die) route pool and evaluation
+  memo.  Within a chain, jobs run **sequentially, in submission
+  order**, so every job's cache reads see exactly the snapshot the
+  fully sequential engine would have produced for that (netlist, die).
+* Jobs with different keys share no route pool, evaluation memo or
+  layout entry, so their relative order cannot change any warm start
+  a job observes — they interleave freely across chains.
 
 Each chain executes in a pool worker with its own chain-local
 :class:`~repro.serve.caches.SessionCaches` (optionally backed by the

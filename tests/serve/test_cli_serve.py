@@ -242,7 +242,9 @@ class TestServeTelemetry:
         rows = [[cell.strip() for cell in line.split("|")]
                 for line in capsys.readouterr().out.splitlines()
                 if line.strip().startswith("serve.")]
-        assert len(rows) == 22
+        # Five cache families of four counters, the eviction total,
+        # the byte gauge and four disk-tier counters.
+        assert len(rows) == 26
         for key, _kind, value in rows:
             name = "repro_" + key.replace(".", "_")
             assert families[name]["samples"][name] == \

@@ -131,11 +131,14 @@ class TestCacheSharing:
         assert counters["netlist_hits"] == 3
         assert counters["matcher_misses"] == 1
         assert counters["matcher_hits"] == 3
-        # Two dies (12 and 13 rows) -> two layout/route-pool entries.
+        # Two dies (12 and 13 rows) -> two layout/route-pool/evaluation
+        # entries.
         assert counters["layout_entries"] == 2
         assert counters["route_pool_entries"] == 2
+        assert counters["evaluation_entries"] == 2
         assert counters["layout_hits"] == 2      # s12b + f12
         assert counters["route_pool_hits"] == 2
+        assert counters["evaluation_hits"] == 2
 
     def test_repeat_rows_identical_to_first(self, warm_run):
         _, results = warm_run
@@ -150,7 +153,8 @@ class TestCacheSharing:
         assert summary["ok"] == 4
         assert summary["jobs_per_sec"] > 0
         assert set(summary["cache_hit_rates"]) == {
-            "netlist", "layout", "matcher", "route_pool", "library_build"}
+            "netlist", "layout", "matcher", "route_pool", "evaluation",
+            "library_build"}
         assert summary["cache_hit_rates"]["netlist"] == 0.75
         assert len(summary["per_job"]) == 4
         assert {entry["id"] for entry in summary["per_job"]} == \

@@ -19,7 +19,7 @@ from repro.network import decompose
 from repro.place import Floorplan
 from repro.place.placer import place_base_network
 from repro.serve import CacheBounds, Job, ServeEngine, SessionCaches
-from repro.serve.caches import approx_nbytes
+from repro.serve.caches import FAMILIES, approx_nbytes
 
 
 def _mixed_keys(n):
@@ -225,7 +225,7 @@ class TestEngineWithBounds:
             [r.to_json() for r in unbounded]
         counters = engine.cache_counters()
         assert counters["evictions"] > 0
-        for family in ("netlist", "layout", "matcher", "route_pool"):
+        for family in FAMILIES:
             assert counters[f"{family}_entries"] <= 1
         summary = engine.summary()
         assert summary["cache"]["evictions"] == counters["evictions"]

@@ -1,0 +1,153 @@
+"""The session's evaluation memos: one per (netlist, die).
+
+``spla@0.01`` on 12 rows routes clean at both Ks below, so every point
+stores into the route pool and a repeat reuses only placements.
+``pdc@0.03`` on 11 rows never routes clean, so the pool never changes
+and a repeat reuses whole evaluations.
+"""
+
+import json
+
+import pytest
+
+import repro.core.flow as flow_mod
+from repro.cli import main
+from repro.core import FlowConfig
+from repro.library import CORELIB018
+from repro.serve import CacheBounds, Job, ServeEngine
+from repro.serve.caches import approx_nbytes
+
+CLEAN = dict(cmd="ksweep", source="spla@0.01", rows=12, k=(0.0, 0.005))
+CONGESTED = dict(cmd="ksweep", source="pdc@0.03", rows=11,
+                 k=(0.0, 0.0001, 0.00025))
+
+
+def _engine(**kwargs):
+    return ServeEngine(FlowConfig(library=CORELIB018), **kwargs)
+
+
+@pytest.fixture
+def place_calls(monkeypatch):
+    """The number of ``place_netlist`` calls so far."""
+    calls = [0]
+    real = flow_mod.place_netlist
+
+    def place(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "place_netlist", place)
+    return calls
+
+
+def _structures(points):
+    return {p.mapping.netlist.structure_key() for p in points}
+
+
+class TestRepeatedJobs:
+    def test_second_identical_job_places_nothing(self, place_calls):
+        engine = _engine()
+        engine.run_job(Job(id="a", **CLEAN))
+        assert place_calls[0] == 2
+        again, points = engine.run_job(Job(id="b", **CLEAN))
+        assert place_calls[0] == 2
+        assert all(p.stats["place.reused"] == 1 for p in points)
+        fresh, _ = _engine().run_job(Job(id="b", **CLEAN))
+        assert again.to_json() == fresh.to_json()
+
+    def test_repeats_raise_both_reuse_counters(self):
+        engine = _engine()
+        seen = []
+        for job_id, fields in (("c1", CLEAN), ("c2", CLEAN),
+                               ("p1", CONGESTED), ("p2", CONGESTED)):
+            engine.run_job(Job(id=job_id, **fields))
+            cache = engine.cache_counters()
+            seen.append((cache["place.reused"], cache["eval.reused"]))
+        # The clean repeat routes its stored placements again; the
+        # first congested sweep reuses its own K = 0.00025 point, and
+        # the congested repeat reuses all three evaluations.
+        assert seen == [(0, 0), (2, 0), (2, 1), (2, 4)]
+        summary = engine.summary()
+        assert summary["cache"]["place.reused"] == 2
+        assert summary["cache"]["eval.reused"] == 4
+        assert engine.heartbeat()["cache"] == summary["cache"]
+
+    def test_flow_then_ksweep_share_placements(self, place_calls):
+        engine = _engine()
+        flow_job = Job(id="f", cmd="flow", source="spla@0.01", rows=12)
+        flow, flow_points = engine.run_job(flow_job)
+        assert flow.verdict == "converged"
+        placed = place_calls[0]
+        sweep, points = engine.run_job(Job(id="s", **CLEAN))
+        new = _structures(points) - _structures(flow_points)
+        assert place_calls[0] - placed == len(new) < len(points)
+        fresh, _ = _engine().run_job(Job(id="s", **CLEAN))
+        assert sweep.to_json() == fresh.to_json()
+
+    def test_memo_is_per_die(self, place_calls):
+        """The same netlist on another die is placed again."""
+        engine = _engine()
+        engine.run_job(Job(id="a", **dict(CLEAN, k=(0.0,))))
+        engine.run_job(Job(id="b", **dict(CLEAN, rows=13, k=(0.0,))))
+        assert place_calls[0] == 2
+        counters = engine.cache_counters()
+        assert counters["evaluation_entries"] == 2
+        assert counters["place.reused"] == 0
+
+
+class TestBoundedMemos:
+    JOBS = [Job(id="a", **CLEAN), Job(id="b", **dict(CLEAN, rows=13)),
+            Job(id="c", **CLEAN), Job(id="d", **CONGESTED),
+            Job(id="e", **CONGESTED), Job(id="f", **CLEAN)]
+
+    def test_eviction_changes_no_row(self):
+        unbounded = _engine().run(self.JOBS)
+        engine = _engine(bounds=CacheBounds(max_entries=1))
+        results = engine.run(self.JOBS)
+        assert [r.to_json() for r in results] == \
+            [r.to_json() for r in unbounded]
+        counters = engine.cache_counters()
+        assert counters["evaluation_evictions"] > 0
+        assert counters["evaluation_entries"] == 1
+        assert counters["evaluation_misses"] == \
+            counters["evaluation_entries"] + counters["evaluation_evictions"]
+        assert counters["evaluation_hits"] + \
+            counters["evaluation_misses"] == len(self.JOBS)
+
+    def test_sync_accounts_the_memo(self):
+        engine = _engine()
+        engine.run_job(Job(id="d", **CONGESTED))
+        [entry] = engine.caches._families["evaluation"].values()
+        memo = entry.value
+        assert memo.memo_nbytes > 0
+        assert entry.nbytes == entry.base + memo.memo_nbytes
+        # The running estimate stays within 2x of an object walk of
+        # what the memo keeps.
+        walked = approx_nbytes((memo._placed, memo._done),
+                               max_visits=10**7)
+        assert 0.5 * walked <= memo.memo_nbytes <= 2.0 * walked
+
+
+class TestServeWorkers:
+    STREAM = "\n".join(json.dumps(dict(fields, id=job_id, k=list(
+        fields["k"]))) for job_id, fields in (
+            ("a", CLEAN), ("b", CONGESTED), ("c", CLEAN),
+            ("d", CONGESTED), ("e", dict(CLEAN, rows=13)),
+            ("f", CLEAN))) + "\n"
+
+    def test_repeats_identical_across_serve_workers(self, tmp_path):
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(self.STREAM)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}.jsonl"
+            summary = tmp_path / f"summary{workers}.json"
+            assert main(["serve", str(jobs), "-o", str(out),
+                         "--serve-workers", workers,
+                         "--summary", str(summary)]) == 0
+            outputs.append(out.read_bytes())
+            cache = json.loads(summary.read_text())["cache"]
+            assert cache["place.reused"] >= 2
+            assert cache["eval.reused"] >= 3
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 6
