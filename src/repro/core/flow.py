@@ -223,11 +223,13 @@ class EvalMemo:
       cache's current contents reuses that evaluation's placement and
       routing instead of running them again.  The cache changes in one
       way only: :meth:`RouteCache.store` installs a new ``routes`` dict
-      (after a clean routing, or a parallel round's merge).  The memo
-      keeps the dict its evaluations saw and forgets them all once the
-      cache holds another one; an evaluation that stored is not kept,
-      since it saw the old contents.  With no cache (``route_reuse``
-      off) they stay valid for the memo's life.
+      when a clean routing (or a parallel round's merge) brings routes
+      that differ from the stored ones, and keeps the dict when they
+      are equal.  The memo keeps the dict its evaluations saw and
+      forgets them all once the cache holds another one; an evaluation
+      whose store changed the cache is not kept, since it saw the old
+      contents.  With no cache (``route_reuse`` off) they stay valid
+      for the memo's life.
 
     :attr:`memo_nbytes` is a running estimate of the bytes the memo
     holds, like :attr:`Matcher.memo_nbytes`.

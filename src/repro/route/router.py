@@ -162,13 +162,31 @@ class RouteCache:
     def store(self, result: RoutingResult) -> None:
         """Replace the cache with a result's final routes.
 
-        Always installs a new ``routes`` dict: holders of the old one
-        (the flow's evaluation memo, serve's disk write-through) tell
-        by identity that the cache changed.
+        Installs a new ``routes`` dict exactly when the contents change
+        (another grid, or some signature's edge ids differ), and keeps
+        the old one when they are equal: holders of the dict (the
+        flow's evaluation memo, serve's disk write-through) tell by
+        identity whether the cache changed.
         """
-        self.grid_key = self._key(result.grid)
-        self.routes = {route.signature: list(route.seg_edge_ids)
-                       for _, route in sorted(result.routes.items())}
+        grid_key = self._key(result.grid)
+        routes = {route.signature: list(route.seg_edge_ids)
+                  for _, route in sorted(result.routes.items())}
+        if grid_key != self.grid_key or not _routes_equal(self.routes, routes):
+            self.grid_key = grid_key
+            self.routes = routes
+
+
+def _routes_equal(old: Dict[Signature, List[np.ndarray]],
+                  new: Dict[Signature, List[np.ndarray]]) -> bool:
+    """Whether two route snapshots hold the same signatures with equal
+    per-segment edge-id arrays (compared as one concatenated array)."""
+    if old.keys() != new.keys():
+        return False
+    olds = [ids for sig in new for ids in old[sig]]
+    news = [ids for arrs in new.values() for ids in arrs]
+    return list(map(len, olds)) == list(map(len, news)) and (
+        not news or np.array_equal(np.concatenate(olds),
+                                   np.concatenate(news)))
 
 
 def _router_stats(t_init: float, t_negotiate: float, nets_rerouted: int,

@@ -239,7 +239,8 @@ class SessionCaches:
             family: {} for family in FAMILIES}
         #: The routes-dict object last persisted per route-pool key —
         #: identity comparison detects snapshot advances (``store()``
-        #: rebinds the dict), and holding the reference pins its id.
+        #: rebinds the dict when its contents change), and holding the
+        #: reference pins its id.
         self._route_saved: Dict[Any, Any] = {}
         self._tick = 0
         self._counts: Dict[str, int] = {}
@@ -415,32 +416,18 @@ class SessionCaches:
         self._put("evaluation", ekey, memo)
         return memo
 
-    @staticmethod
-    def _routes_equal(saved: Any, routes: Dict[Any, Any]) -> bool:
-        """Whether a pool's routes match the last-persisted snapshot."""
-        if saved is routes:
-            return True
-        if saved is None or saved.keys() != routes.keys():
-            return False
-        for sig, arrs in routes.items():
-            olds = saved[sig]
-            if len(olds) != len(arrs) or not all(
-                    np.array_equal(old, arr)
-                    for old, arr in zip(olds, arrs)):
-                return False
-        return True
-
     def _persist_route_pool(self, rkey: Any, cache: RouteCache) -> None:
         """Write one pool's snapshot through to disk if it advanced.
 
-        "Advanced" means the routes differ from the last snapshot this
-        session persisted (or adopted from disk) — a job that re-stored
-        an identical clean snapshot does not trigger a rewrite.
+        "Advanced" means the pool holds another routes dict than the
+        one this session last persisted (or adopted from disk).
+        :meth:`RouteCache.store` keeps the dict when a job re-stores
+        equal routes, so such a job triggers no rewrite; one whose
+        stores change the routes and then bring them back rewrites the
+        same contents.
         """
-        if self.persist is None or not cache.routes:
-            return
-        if self._routes_equal(self._route_saved.get(rkey), cache.routes):
-            self._route_saved[rkey] = cache.routes
+        if self.persist is None or not cache.routes \
+                or self._route_saved.get(rkey) is cache.routes:
             return
         payload = {"grid_key": cache.grid_key,
                    "routes": sorted((sig, list(arrs))

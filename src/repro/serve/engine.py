@@ -31,6 +31,11 @@ against it.  The execution model is deterministic by construction:
   for long sessions, and ``cache_dir``
   attaches the persistent disk tier so even *cold* engines warm-start
   layouts and route pools (:mod:`repro.serve.persist`).
+* **The heap is frozen at every job boundary.**  After a job the
+  engine calls :func:`gc.freeze`, so full collections stop re-walking
+  the session caches (and, in a process that embeds an engine, that
+  process's own heap).  Cached payloads must stay acyclic: an evicted
+  entry is then freed by reference counting, frozen or not.
 
 A failing job (unknown benchmark, unroutable die, bad BLIF, or any
 other ``Exception`` raised while it runs) reports ``ok: false`` with
@@ -48,12 +53,15 @@ and the point-work counters ``route.routes_reused``,
 feeds the histograms of its latency, queue wait and per-phase times
 (its points' ``map``, ``place`` and ``route`` span durations and
 ``cover.t_dp``) and the rolling gauge of the estimated cache
-footprint.  A chain worker sends back its engine's
-:meth:`ServeEngine.stats` — cache counters included — which the
-engine merges in chain order before it emits the chain's jobs in
-submission order.  :meth:`ServeEngine.stats` (the session caches'
-counters merged with :attr:`~ServeEngine.metrics`) is what
-``--metrics-out`` renders; the heartbeat, the summary and the
+footprint.  Its share of the process's garbage-collection pauses
+(``gc.t_full`` for generation 2, ``gc.t_young`` for generations 0-1,
+timed by one ``gc.callbacks`` hook the first engine installs) goes
+into the registry and onto the job's ``job`` span.  A chain worker
+sends back its engine's :meth:`ServeEngine.stats` — cache counters
+included — which the engine merges in chain order before it emits the
+chain's jobs in submission order.  :meth:`ServeEngine.stats` (the
+session caches' counters merged with :attr:`~ServeEngine.metrics`) is
+what ``--metrics-out`` renders; the heartbeat, the summary and the
 ``session_caches`` span are views of it, so they agree at every
 write.  The **slow-job watchdog** counts jobs that blow a soft
 per-job deadline (``slow_job_s``) into ``serve.slow_jobs`` with a
@@ -68,6 +76,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import os
 import re
@@ -106,6 +115,22 @@ _POINT_WORK_KEYS = ("route.routes_reused", "route.reuse_skipped",
 _PHASE_SPANS = (("serve.map_seconds", "map"),
                 ("serve.place_seconds", "place"),
                 ("serve.route_seconds", "route"))
+
+#: Seconds this process spent in garbage collections since the first
+#: engine installed :func:`_time_collection`: full (generation 2) and
+#: young (generations 0-1) ones.
+_GC_SECONDS = {"gc.t_full": 0.0, "gc.t_young": 0.0}
+_gc_start = 0.0
+
+
+def _time_collection(phase: str, info: Dict[str, int]) -> None:
+    """The ``gc.callbacks`` hook adding each pause to :data:`_GC_SECONDS`."""
+    global _gc_start
+    if phase == "start":
+        _gc_start = time.perf_counter()
+    else:
+        key = "gc.t_full" if info["generation"] == 2 else "gc.t_young"
+        _GC_SECONDS[key] += time.perf_counter() - _gc_start
 
 
 def _tally(jobs: int, ok: int, slow: int,
@@ -186,6 +211,8 @@ class ServeEngine:
         self.metrics = _tally(0, 0, 0, {})
         self.metrics.env("serve.serve_workers", self.serve_workers)
         self.metrics.env("serve.workers", self.workers)
+        if _time_collection not in gc.callbacks:
+            gc.callbacks.append(_time_collection)
         self._t_jobs: List[dict] = []
         self._t_wall = 0.0
         self._t_run = 0.0
@@ -200,13 +227,15 @@ class ServeEngine:
         """Execute one job against the session caches (sequential path);
         returns its result line and evaluated points (none on failure)."""
         t0 = time.perf_counter()
+        gc0 = dict(_GC_SECONDS)
         if self._t_accept is None:
             self._t_accept = t0
         span_cm = (self.tracer.span("job", id=job.id, cmd=job.cmd,
                                     source=job.source)
                    if self.tracer is not None else contextlib.nullcontext())
+        span = None
         try:
-            with span_cm:
+            with span_cm as span:
                 result, points = self._dispatch(job)
         except Exception as exc:
             result, points = JobResult(
@@ -216,7 +245,20 @@ class ServeEngine:
         # during the job: re-account them (writing advanced route pools
         # through to the disk tier) before the next job.
         self.caches.sync()
+        # Move everything alive now, the session caches above all, to
+        # the collector's permanent generation, so later collections
+        # scan only what is born after this boundary.  Sound while no
+        # job leaves cyclic garbage and cached payloads stay acyclic
+        # (tests/serve/test_gc.py): reference counting then frees a
+        # frozen entry once it is evicted or replaced.
+        gc.freeze()
         t_job = time.perf_counter() - t0
+        gc_job = StatsRegistry()
+        for key, total in _GC_SECONDS.items():
+            gc_job.time(key, total - gc0[key])
+        if span is not None:
+            span.counters.absorb(gc_job)
+        self.metrics.merge(gc_job)
         if self.artifacts_dir and points:
             write_congestion_artifacts(
                 points,

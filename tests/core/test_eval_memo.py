@@ -4,8 +4,9 @@
 netlists (violations 16, then 10 five times) and never routes clean, so
 the route cache never changes and four points reuse an earlier
 evaluation.  ``spla@0.01`` on 9 rows also maps two distinct netlists but
-routes clean at every K: with route reuse on, each clean store changes
-the cache and every point is placed and routed again.
+routes clean at every K: with route reuse on, a clean store that
+changes the cache's routes makes the next point route again, and one
+that re-stores equal routes keeps the evaluation it made.
 """
 
 from dataclasses import replace
@@ -16,6 +17,7 @@ import pytest
 import repro.core.flow as flow_mod
 from repro.circuits import benchmark
 from repro.core import (
+    EvalMemo,
     FlowConfig,
     congestion_aware_flow,
     evaluate_netlist,
@@ -25,7 +27,7 @@ from repro.core import (
 from repro.library import CORELIB018
 from repro.network import decompose
 from repro.place import Floorplan, place_base_network
-from repro.route import GlobalRouter
+from repro.route import GlobalRouter, RouteCache
 
 K_VALUES = [0.0, 0.0001, 0.00025, 0.0005, 0.001, 0.0025]
 
@@ -152,15 +154,40 @@ class TestInvalidation:
                        positions=positions)
         assert all(p.violations == 0 for p in warm)
         assert _distinct(warm) == 2
-        # Every clean point stored into the route cache, so no point
-        # could reuse a routing made under other cache contents; the
-        # placements, which never read the cache, are reused.
-        assert pnr_calls == {"place": 2, "route": 6}
+        # Every clean point stored into the route cache.  A store that
+        # changed the routes made the next point route again; one that
+        # re-stored equal routes kept the cache, and the evaluation
+        # made under it.  The placements, which never read the cache,
+        # are reused.
+        assert pnr_calls == {"place": 2, "route": 3}
         cold = k_sweep(base, floorplan, replace(config, route_reuse=False),
                        k_values=K_VALUES, positions=positions)
         # No cache: entries stay valid for the whole request.
-        assert pnr_calls == {"place": 4, "route": 8}
+        assert pnr_calls == {"place": 4, "route": 5}
         assert [p.row() for p in cold] == [p.row() for p in warm]
+
+    def test_store_of_other_routes_clears_memo(self, clean, pnr_calls):
+        base, config, floorplan, positions = clean
+        points = k_sweep(base, floorplan, replace(config, route_reuse=False),
+                         k_values=K_VALUES, positions=positions)
+        first = points[0].mapping.netlist
+        other = next(p.mapping.netlist for p in points
+                     if p.mapping.netlist.structure_key()
+                     != first.structure_key())
+        pnr_calls.update(place=0, route=0)
+        memo, cache = EvalMemo(), RouteCache()
+        for _ in range(3):
+            memo.evaluate(first, floorplan, config, 0.0, cache)
+        # The first store changed the cache; the second re-stored equal
+        # routes, so the third evaluation reused the second.
+        assert pnr_calls == {"place": 1, "route": 2}
+        kept = cache.routes
+        evaluate_netlist(other, floorplan, config, route_cache=cache)
+        assert cache.routes is not kept
+        again = memo.evaluate(first, floorplan, config, 0.0, cache)
+        assert pnr_calls == {"place": 2, "route": 4}
+        assert "eval.reused" not in again.stats
+        assert again.row() == evaluate_netlist(first, floorplan, config).row()
 
 
 class TestEvaluationIsDeterministic:
