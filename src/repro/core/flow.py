@@ -5,13 +5,15 @@ This module glues the substrates into the experiments the paper runs:
 * :func:`evaluate_netlist` — place, globally route and summarise one
   mapped netlist in a fixed floorplan (one row of Tables 1/2/4).
 * :func:`run_k_point` — map the placed base network at one K and
-  evaluate it, reusing what an :class:`EvalMemo` kept from an earlier
-  evaluation of the same mapped netlist on the same die.
+  evaluate it, reusing what an :class:`EvalMemo` kept: the mapping
+  made at this K, and the evaluation of the same mapped netlist on the
+  same die.
 * :class:`KLoop` — the one K loop: the base network and its placement
   are produced **once**, then re-mapped per K (the re-use the paper
   emphasises as the methodology's cheapness), serially or in process
   pool rounds; K points that re-map to an already-placed netlist skip
-  placement, and routing too while the route cache is unchanged.
+  placement, and routing too while the route cache is unchanged, and
+  a K its memo already mapped is not mapped again.
 * :func:`k_sweep` — the Table 2/4 experiment: every K of the schedule.
 * :func:`congestion_aware_flow` — the Figure 3 loop: start at K = 0,
   evaluate the congestion map, raise K until the map is acceptable.
@@ -97,10 +99,10 @@ class EvalPoint:
     #: route), built identically on the serial and the process-pool
     #: paths; sweeps adopt it into the run's trace.  It is the point's
     #: one ledger: each counter sits on the span whose work it counts
-    #: (mapping stats on ``map``, ``place.t_*`` on ``place``,
-    #: ``place.reused`` on a replayed ``place``, routing stats on
-    #: ``route``, ``eval.reused`` on a reused ``evaluate``, a pool
-    #: round's ``exec.*`` on ``k_point``).
+    #: (mapping stats on ``map``, ``map.reused`` on a replayed ``map``,
+    #: ``place.t_*`` on ``place``, ``place.reused`` on a replayed
+    #: ``place``, routing stats on ``route``, ``eval.reused`` on a
+    #: reused ``evaluate``, a pool round's ``exec.*`` on ``k_point``).
     trace: Optional[Span] = None
 
     @property
@@ -119,6 +121,10 @@ class EvalPoint:
 
 #: A placement with the ``place`` span that made it (:class:`EvalMemo`).
 Placed = Tuple[Placement, Span]
+
+#: A mapping with its netlist's structure key and the ``map`` span that
+#: made it (:class:`EvalMemo`).
+Mapped = Tuple[MappingResult, Tuple, Span]
 
 
 def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
@@ -184,9 +190,12 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
 
 
 #: Running-size weights of :attr:`EvalMemo.memo_nbytes`, fitted
-#: against object walks of memos filled by K sweeps: bytes per placed
-#: cell or pad (its position and its share of the netlist's structure
-#: key), and per routed net and committed routing edge.
+#: against object walks of memos filled by K sweeps: bytes per mapped
+#: cell (its instance, net names, seed position and share of the
+#: structure key and the committed layout image), per placed cell or
+#: pad (its position and its share of the netlist's structure key), and
+#: per routed net and committed routing edge.
+_MAPPED_NBYTES = 700
 _PLACED_NBYTES = 500
 _NET_NBYTES = 1000
 _EDGE_NBYTES = 125
@@ -200,7 +209,7 @@ def _routing_nbytes(routing: RoutingResult) -> int:
 
 
 class EvalMemo:
-    """The evaluations run on one die, keyed by netlist structure.
+    """The mappings and evaluations run on one die.
 
     :func:`evaluate_netlist` is a deterministic function of the netlist,
     the die, the config and the route cache's contents: its seeds are
@@ -209,10 +218,24 @@ class EvalMemo:
     :class:`KLoop` builds one per request unless a caller injects a
     longer-lived one (:mod:`repro.serve` keeps one per (netlist, die)
     beside that pair's route pool), and passes it to every serial
-    :func:`run_k_point`.  Netlists are told apart by
+    :func:`run_k_point`.  Every reuse is exact by construction.  The
+    memo keeps three tiers:
+
+    * **Mappings**, keyed by K.  :func:`~repro.core.mapper.map_network`
+      is a deterministic function of the base network, its positions
+      and partition, the library, the partition style and K: reused
+      covers commit bit-identical netlists, and net names come from a
+      deterministic counter.  The memo cannot compare layouts by
+      content, so the tier holds mappings of one ``(base, positions,
+      partition)`` triple, told apart by identity, and forgets them
+      all when a loop passes other objects (:meth:`mapping`).  A kept
+      mapping also keeps its netlist's structure key and its ``map``
+      span, so a point that reuses it neither maps nor keys the
+      netlist again.
+
+    The other two tiers tell netlists apart by
     :meth:`~repro.network.netlist.MappedNetlist.structure_key`, whole
-    keys compared.  Every reuse is exact by construction.  The memo
-    keeps two tiers:
+    keys compared:
 
     * **Placements.**  :func:`~repro.place.placer.place_netlist` reads
       only the netlist, the die, the library and ``config.seed``, so a
@@ -231,21 +254,48 @@ class EvalMemo:
       contents.  With no cache (``route_reuse`` off) they stay valid
       for the memo's life.
 
+    Kept objects are shared read-only with the points that reuse them.
     :attr:`memo_nbytes` is a running estimate of the bytes the memo
     holds, like :attr:`Matcher.memo_nbytes`.
     """
 
     def __init__(self) -> None:  # noqa: D107
+        self._mapped: Dict[float, Mapped] = {}
+        self._layout: Tuple = (None, None, None)
         self._placed: Dict[Tuple, Placed] = {}
         self._done: Dict[Tuple, EvalPoint] = {}
         self._routes: Optional[dict] = None
+        self._mapped_nbytes = 0
         self._placed_nbytes = 0
         self._done_nbytes = 0
 
     @property
     def memo_nbytes(self) -> int:
-        """Estimated bytes of the kept placements and routings."""
-        return self._placed_nbytes + self._done_nbytes
+        """Estimated bytes of the kept mappings, placements and
+        routings."""
+        return self._mapped_nbytes + self._placed_nbytes + self._done_nbytes
+
+    def mapping(self, base: BaseNetwork, positions: PositionMap,
+                partition: Partition, k: float) -> Optional[Mapped]:
+        """The mapping kept for ``k``, if the tier holds mappings of
+        these very objects; if it holds another triple's, forget them
+        and hold this one's from now on (:meth:`keep_mapping`)."""
+        layout = (base, positions, partition)
+        if any(a is not b for a, b in zip(layout, self._layout)):
+            self._mapped.clear()
+            self._mapped_nbytes = 0
+            self._layout = layout
+        return self._mapped.get(k)
+
+    def keep_mapping(self, k: float, mapping: MappingResult,
+                     span: Span) -> Tuple:
+        """Keep ``mapping``, made at ``k`` from the objects of the last
+        :meth:`mapping` call, and its ``map`` span; returns its
+        netlist's structure key."""
+        key = mapping.netlist.structure_key()
+        self._mapped[k] = (mapping, key, span)
+        self._mapped_nbytes += _MAPPED_NBYTES * mapping.netlist.num_cells()
+        return key
 
     def _current(self, route_cache: Optional[RouteCache]) -> bool:
         """Whether the kept evaluations saw ``route_cache``'s contents;
@@ -260,11 +310,14 @@ class EvalMemo:
 
     def evaluate(self, netlist: MappedNetlist, floorplan: Floorplan,
                  config: FlowConfig, k: float,
-                 route_cache: Optional[RouteCache]) -> EvalPoint:
+                 route_cache: Optional[RouteCache],
+                 key: Optional[Tuple] = None) -> EvalPoint:
         """:func:`evaluate_netlist`, reusing what an equal netlist's
-        evaluation left behind."""
+        evaluation left behind; ``key`` is the netlist's structure key
+        when the caller already has it."""
         self._current(route_cache)
-        key = netlist.structure_key()
+        if key is None:
+            key = netlist.structure_key()
         done = self._done.get(key)
         if done is not None:
             return _reuse_evaluation(done, k)
@@ -311,25 +364,37 @@ def run_k_point(base: BaseNetwork, positions: PositionMap,
     and passes them to every K point.  ``route_cache`` carries routes
     between K points: nets whose pin GCell signature is unchanged
     warm-start from the previous K's final route.  ``memo``, the
-    :class:`KLoop`'s, lets a point whose netlist was already placed on
-    this die reuse the placement, and the routing too while the route
-    cache is unchanged (:class:`EvalMemo`); without one the point is
-    always placed and routed.
+    :class:`KLoop`'s, lets a point reuse the mapping kept for this K
+    when ``partition`` is given, and a point whose netlist was already
+    placed on this die reuse the placement, and the routing too while
+    the route cache is unchanged (:class:`EvalMemo`); without one the
+    point is always mapped, placed and routed.
+
+    A reused mapping is shared read-only, and its ``map`` span is
+    replayed (:meth:`Span.replayed`) with ``map.reused`` (work) = 1,
+    so the point's skeleton is a fresh point's.
     """
-    objective = area_congestion(k)
     tracer = Tracer("k_point", k=k)
-    with tracer.span("map") as sp_map:
-        mapping = map_network(base, config.library, objective,
-                              partition_style=config.partition_style,
-                              positions=positions,
-                              partition=partition, matcher=matcher)
-    sp_map.counters.absorb(mapping.stats)
+    reuse = memo is not None and partition is not None
+    kept = memo.mapping(base, positions, partition, k) if reuse else None
+    if kept is None:
+        with tracer.span("map") as sp_map:
+            mapping = map_network(base, config.library, area_congestion(k),
+                                  partition_style=config.partition_style,
+                                  positions=positions,
+                                  partition=partition, matcher=matcher)
+        sp_map.counters.absorb(mapping.stats)
+        key = memo.keep_mapping(k, mapping, sp_map) if reuse else None
+    else:
+        mapping, key, sp_map = kept[0], kept[1], kept[2].replayed()
+        sp_map.counters.work("map.reused", 1)
+        tracer.adopt(sp_map)
     if memo is None:
         point = evaluate_netlist(mapping.netlist, floorplan, config, k=k,
                                  route_cache=route_cache)
     else:
         point = memo.evaluate(mapping.netlist, floorplan, config, k,
-                              route_cache)
+                              route_cache, key=key)
     tracer.adopt(point.trace)
     return replace(point, mapping=mapping, trace=tracer.close())
 
@@ -367,11 +432,15 @@ class KLoop:
 
     Callers name points by their index into :attr:`grid`.
     :meth:`evaluate` runs one point serially, threading the route cache
-    and the memo through.  :meth:`evaluate_round` runs a round of
-    points over a pool of ``workers`` processes (default
-    ``config.workers``): every task maps with the loop's matcher and
-    clones the round's opening cache snapshot into a private shard, and
-    the cache then adopts one clean member of the round.  Either way
+    and the memo through; a K the memo already mapped from this loop's
+    base, positions and partition objects reuses that mapping (a loop
+    evaluates each index once, so this happens on a repeated K, or with
+    an injected memo that earlier loops filled).
+    :meth:`evaluate_round` runs a round of points over a pool of
+    ``workers`` processes (default ``config.workers``): every task maps
+    with the loop's matcher and clones the round's opening cache
+    snapshot into a private shard, and the cache then adopts one clean
+    member of the round.  Either way
     each point is recorded once: its subtree is adopted into
     ``tracer``, its line goes to ``progress``, and a pool round's
     ``exec.*`` entries go on its ``k_point`` span and into

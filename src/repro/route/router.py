@@ -117,6 +117,14 @@ class RoutingResult:
         return self.routes[name].wirelength(self.grid)
 
 
+#: Running-size weights of :attr:`RouteCache.memo_nbytes`, fitted
+#: against object walks of serve route pools: bytes per signature (its
+#: tuple of GCells and dict slot) and per edge-id array (its list slot
+#: and array header), beside the arrays' own ``nbytes``.
+_SIGNATURE_NBYTES = 250
+_ARRAY_NBYTES = 240
+
+
 class RouteCache:
     """Cross-evaluation warm-start store (the cross-K reuse key).
 
@@ -128,11 +136,16 @@ class RouteCache:
     calls :meth:`store` once per clean evaluation, which keeps a pool
     round deterministic (every K point of the round warm-starts from a
     clone of the same snapshot).
+
+    :attr:`memo_nbytes` is a running estimate of the bytes the routes
+    hold, like :attr:`repro.core.matching.Matcher.memo_nbytes`, taken
+    whenever a snapshot is installed (:meth:`install`).
     """
 
     def __init__(self) -> None:  # noqa: D107
         self.grid_key: Optional[Tuple[int, int, int, int]] = None
         self.routes: Dict[Signature, List[np.ndarray]] = {}
+        self.memo_nbytes = 0
 
     @staticmethod
     def _key(grid: RoutingGrid) -> Tuple[int, int, int, int]:
@@ -150,7 +163,18 @@ class RouteCache:
         out = RouteCache()
         out.grid_key = self.grid_key
         out.routes = {sig: list(arrs) for sig, arrs in self.routes.items()}
+        out.memo_nbytes = self.memo_nbytes
         return out
+
+    def install(self, grid_key: Optional[Tuple[int, int, int, int]],
+                routes: Dict[Signature, List[np.ndarray]]) -> None:
+        """Hold ``routes``, made on a grid of key ``grid_key``, as the
+        snapshot, and re-estimate its bytes."""
+        self.grid_key = grid_key
+        self.routes = routes
+        self.memo_nbytes = sum(
+            _SIGNATURE_NBYTES + sum(_ARRAY_NBYTES + ids.nbytes for ids in arrs)
+            for arrs in routes.values())
 
     def warm_routes(self, grid: RoutingGrid) -> Dict[Signature,
                                                      List[np.ndarray]]:
@@ -171,13 +195,12 @@ class RouteCache:
         grid_key = self._key(result.grid)
         routes = {route.signature: list(route.seg_edge_ids)
                   for _, route in sorted(result.routes.items())}
-        if grid_key != self.grid_key or not _routes_equal(self.routes, routes):
-            self.grid_key = grid_key
-            self.routes = routes
+        if grid_key != self.grid_key or not routes_equal(self.routes, routes):
+            self.install(grid_key, routes)
 
 
-def _routes_equal(old: Dict[Signature, List[np.ndarray]],
-                  new: Dict[Signature, List[np.ndarray]]) -> bool:
+def routes_equal(old: Dict[Signature, List[np.ndarray]],
+                 new: Dict[Signature, List[np.ndarray]]) -> bool:
     """Whether two route snapshots hold the same signatures with equal
     per-segment edge-id arrays (compared as one concatenated array)."""
     if old.keys() != new.keys():

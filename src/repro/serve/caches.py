@@ -30,11 +30,12 @@ which is reusable *across* jobs, keyed so that reuse is always sound:
   pool entry, so it can never adopt a foreign shard (the grid key
   inside :class:`RouteCache` backstops even hand-constructed misuse).
 * **Evaluations** — one :class:`~repro.core.flow.EvalMemo` per
-  (netlist, die), the route pool's key: every mapped netlist a job
-  places on that die is placed once per session, and re-routed only
-  when the pool's routes changed since it was last routed.  Keying by
-  source, never by netlist content alone, keeps each memo beside the
-  one pool its whole evaluations can be reused under.
+  (netlist, die), the route pool's key: the netlist is mapped once per
+  session at each K (while its layout entry stays resident), every
+  mapped netlist a job places on that die is placed once per session,
+  and re-routed only when the pool's routes changed since it was last
+  routed.  Keying by source, never by netlist content alone, keeps each
+  memo beside the one pool its whole evaluations can be reused under.
 
 Every cache is a pure speedup: mapping, placement and match results are
 deterministic functions of their keys, and route warm starts never
@@ -85,7 +86,7 @@ from ..network.dag import BaseNetwork
 from ..network.decompose import decompose
 from ..obs import StatsRegistry
 from ..place import Floorplan, place_base_network
-from ..route.router import RouteCache
+from ..route.router import RouteCache, routes_equal
 from .persist import PersistentCache
 
 __all__ = ["CacheBounds", "SessionCaches", "approx_nbytes", "die_key",
@@ -237,11 +238,11 @@ class SessionCaches:
         self.persist = persist
         self._families: Dict[str, Dict[Any, _Entry]] = {
             family: {} for family in FAMILIES}
-        #: The routes-dict object last persisted per route-pool key —
-        #: identity comparison detects snapshot advances (``store()``
-        #: rebinds the dict when its contents change), and holding the
-        #: reference pins its id.
-        self._route_saved: Dict[Any, Any] = {}
+        #: The (grid key, routes dict) last persisted per route-pool key
+        #: (or adopted from disk), kept with a disk tier only.  Identity
+        #: settles most comparisons (``store()`` rebinds the dict only
+        #: when its contents change), and holding the dict pins its id.
+        self._route_saved: Dict[Any, Tuple[Any, dict]] = {}
         self._tick = 0
         self._counts: Dict[str, int] = {}
         for family in FAMILIES:
@@ -384,24 +385,27 @@ class SessionCaches:
         cached = self._get("route_pool", rkey)
         if cached is not None:
             return cached
+        # Inserted empty, like matchers and memos: :meth:`sync` adds
+        # the pool's running estimate of the routes it holds.
         cache = RouteCache()
+        self._put("route_pool", rkey, cache)
         stored = self.persist.load("route", rkey) \
             if self.persist is not None else None
         if stored is not None:
-            cache.grid_key = stored["grid_key"]
-            cache.routes = {sig: [np.asarray(arr) for arr in arrs]
-                            for sig, arrs in stored["routes"]}
+            cache.install(stored["grid_key"],
+                          {sig: [np.asarray(arr) for arr in arrs]
+                           for sig, arrs in stored["routes"]})
             # The adopted snapshot is what disk already holds — do not
             # rewrite it until a job advances it.
-            self._route_saved[rkey] = cache.routes
-        self._put("route_pool", rkey, cache)
+            self._route_saved[rkey] = (cache.grid_key, cache.routes)
         return cache
 
     # -- evaluations -----------------------------------------------------
 
     def evaluation(self, key: str, floorplan: Floorplan) -> EvalMemo:
-        """The per-(netlist, die) evaluation memo (placements and whole
-        evaluations of the netlists mapped from ``key`` on that die).
+        """The per-(netlist, die) evaluation memo (the mappings of ``key``
+        at each K, and the placements and whole evaluations of the
+        netlists mapped from it on that die).
 
         Keyed like :meth:`route_pool`, so the pool a memo's whole
         evaluations saw is the one its next job routes with.  Never
@@ -419,21 +423,28 @@ class SessionCaches:
     def _persist_route_pool(self, rkey: Any, cache: RouteCache) -> None:
         """Write one pool's snapshot through to disk if it advanced.
 
-        "Advanced" means the pool holds another routes dict than the
-        one this session last persisted (or adopted from disk).
+        "Advanced" means the pool holds other routes than the ones this
+        session last persisted (or adopted from disk).
         :meth:`RouteCache.store` keeps the dict when a job re-stores
-        equal routes, so such a job triggers no rewrite; one whose
-        stores change the routes and then bring them back rewrites the
-        same contents.
+        equal routes, so the same dict settles it at once; another dict
+        is compared by grid key and contents (:func:`routes_equal`), so
+        a job whose stores change the routes and then bring them back
+        writes nothing.
         """
-        if self.persist is None or not cache.routes \
-                or self._route_saved.get(rkey) is cache.routes:
+        if self.persist is None or not cache.routes:
             return
-        payload = {"grid_key": cache.grid_key,
-                   "routes": sorted((sig, list(arrs))
-                                    for sig, arrs in cache.routes.items())}
-        if self.persist.store("route", rkey, payload):
-            self._route_saved[rkey] = cache.routes
+        saved = self._route_saved.get(rkey)
+        unchanged = saved is not None and (
+            saved[1] is cache.routes
+            or saved[0] == cache.grid_key
+            and routes_equal(saved[1], cache.routes))
+        if not unchanged:
+            payload = {"grid_key": cache.grid_key,
+                       "routes": sorted((sig, list(arrs)) for sig, arrs
+                                        in cache.routes.items())}
+            if not self.persist.store("route", rkey, payload):
+                return
+        self._route_saved[rkey] = (cache.grid_key, cache.routes)
 
     def sync(self) -> None:
         """Refresh the byte estimates of entries that grew, and flush
@@ -442,25 +453,18 @@ class SessionCaches:
         The engine calls this after every job.  Three families *grow*
         after insertion, so their accounting is brought up to date here
         rather than on some later, unrelated access: matchers fill their
-        match memos and evaluation memos keep placements and routings
-        (their running ``memo_nbytes`` estimate is added to the
-        insertion-time walk, so a filled memo is never re-walked), and
-        route pools take clean snapshots from the flow layer (they are
-        re-walked, and persisted, only when the snapshot changed).
+        match memos, evaluation memos keep mappings, placements and
+        routings, and route pools take clean snapshots from the flow
+        layer (or a seed from disk).  Each keeps a running
+        ``memo_nbytes`` estimate, which is added to the insertion-time
+        walk, so a filled entry is never re-walked.
         """
-        for family in ("matcher", "evaluation"):
+        for family in ("matcher", "route_pool", "evaluation"):
             for entry in self._families[family].values():
                 entry.nbytes = entry.base + entry.value.memo_nbytes
-        entries = self._families["route_pool"]
-        for rkey, entry in entries.items():
-            cache = entry.value
-            if self._route_saved.get(rkey) is not cache.routes:
-                self._persist_route_pool(rkey, cache)
-                entry.nbytes = approx_nbytes(cache)
-                if self.persist is None:
-                    # No disk tier: the saved reference only marks the
-                    # snapshot as accounted, so sync stays O(changed).
-                    self._route_saved[rkey] = cache.routes
+        if self.persist is not None:
+            for rkey, entry in self._families["route_pool"].items():
+                self._persist_route_pool(rkey, entry.value)
         if self.bounds.bounded:
             self._enforce_bounds()
 

@@ -25,8 +25,9 @@ against it.  The execution model is deterministic by construction:
   multiplicative.
 * **Caches are injected, not rebuilt — and they have a lifecycle.**
   The netlist, layout, matcher and the per-(die, netlist) route-cache
-  pool and evaluation memo come from the session cache, so a netlist a
-  job maps is placed once per session on each die;
+  pool and evaluation memo come from the session cache, so a netlist
+  is mapped once per session at each K and a netlist a job maps is
+  placed once per session on each die;
   :class:`~repro.serve.caches.CacheBounds` adds LRU entry/byte limits
   for long sessions, and ``cache_dir``
   attaches the persistent disk tier so even *cold* engines warm-start
@@ -49,7 +50,8 @@ session (:attr:`ServeEngine.metrics`).  Every finished job adds its
 tallies (``serve.jobs_done``, ``serve.jobs_ok``, ``serve.slow_jobs``
 and the point-work counters ``route.routes_reused``,
 ``route.reuse_skipped``, ``cover.memo_hits``, ``map.match_cache_hits``,
-``eval.reused`` and ``place.reused`` summed over its K points) and
+``map.reused``, ``eval.reused`` and ``place.reused`` summed over its K
+points) and
 feeds the histograms of its latency, queue wait and per-phase times
 (its points' ``map``, ``place`` and ``route`` span durations and
 ``cover.t_dp``) and the rolling gauge of the estimated cache
@@ -108,7 +110,7 @@ __all__ = ["ServeEngine"]
 #: registry (all plan-dependent by design).
 _POINT_WORK_KEYS = ("route.routes_reused", "route.reuse_skipped",
                     "cover.memo_hits", "map.match_cache_hits",
-                    "eval.reused", "place.reused")
+                    "map.reused", "eval.reused", "place.reused")
 
 #: (histogram key, span name) — a job's per-phase wall-time is the
 #: summed duration of its points' spans of that name.

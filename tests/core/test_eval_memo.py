@@ -1,4 +1,4 @@
-"""The per-request evaluation memo of the serial K loops.
+"""The evaluation memo of the serial K loops.
 
 ``pdc@0.03`` on 11 rows maps the six K values below to two distinct
 netlists (violations 16, then 10 five times) and never routes clean, so
@@ -6,7 +6,9 @@ the route cache never changes and four points reuse an earlier
 evaluation.  ``spla@0.01`` on 9 rows also maps two distinct netlists but
 routes clean at every K: with route reuse on, a clean store that
 changes the cache's routes makes the next point route again, and one
-that re-stores equal routes keeps the evaluation it made.
+that re-stores equal routes keeps the evaluation it made.  A memo that
+outlives one loop also keeps each K's mapping, for loops that pass it
+the same base, positions and partition objects.
 """
 
 from dataclasses import replace
@@ -23,7 +25,9 @@ from repro.core import (
     evaluate_netlist,
     k_search,
     k_sweep,
+    run_k_point,
 )
+from repro.core.partition import partition as make_partition
 from repro.library import CORELIB018
 from repro.network import decompose
 from repro.place import Floorplan, place_base_network
@@ -67,6 +71,20 @@ def pnr_calls(monkeypatch):
 
     monkeypatch.setattr(flow_mod, "place_netlist", place)
     monkeypatch.setattr(GlobalRouter, "route", route)
+    return calls
+
+
+@pytest.fixture
+def map_calls(monkeypatch):
+    """The number of ``map_network`` calls so far."""
+    calls = [0]
+    real = flow_mod.map_network
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "map_network", counted)
     return calls
 
 
@@ -213,3 +231,53 @@ class TestEvaluationIsDeterministic:
         assert a.hpwl == b.hpwl
         assert a.routed_wirelength == b.routed_wirelength
         assert a.stats.deterministic() == b.stats.deterministic()
+
+
+class TestMappingTier:
+    @staticmethod
+    def _sweep(congested, positions, part, memo):
+        base, config, floorplan, _ = congested
+        return k_sweep(base, floorplan, config, k_values=K_VALUES,
+                       positions=positions, partition=part, memo=memo)
+
+    @pytest.fixture(scope="class")
+    def part(self, congested):
+        base, config, _, positions = congested
+        return make_partition(base, config.partition_style,
+                              positions=positions)
+
+    def test_repeated_loop_maps_nothing(self, congested, part, map_calls):
+        positions, memo = congested[3], EvalMemo()
+        first = self._sweep(congested, positions, part, memo)
+        assert map_calls[0] == len(K_VALUES)
+        again = self._sweep(congested, positions, part, memo)
+        assert map_calls[0] == len(K_VALUES)
+        assert [p.row() for p in again] == [p.row() for p in first]
+        assert all(p.stats["map.reused"] == 1 for p in again)
+        assert all(a.mapping is b.mapping for a, b in zip(again, first))
+
+    def test_other_layout_objects_remap(self, congested, part, map_calls):
+        """Equal positions and partition in other objects map again, and
+        the tier then forgets the first objects' mappings."""
+        base, config, _, positions = congested
+        memo = EvalMemo()
+        first = self._sweep(congested, positions, part, memo)
+        other = place_base_network(base, congested[2], seed=config.seed)
+        other_part = make_partition(base, config.partition_style,
+                                    positions=other)
+        for layout in ((other, part), (positions, other_part),
+                       (positions, part)):
+            calls = map_calls[0]
+            points = self._sweep(congested, *layout, memo)
+            assert map_calls[0] - calls == len(K_VALUES)
+            assert [p.row() for p in points] == [p.row() for p in first]
+            assert not any("map.reused" in p.stats for p in points)
+
+    def test_no_partition_maps_every_time(self, congested, map_calls):
+        base, config, floorplan, positions = congested
+        memo = EvalMemo()
+        rows = [run_k_point(base, positions, floorplan, config, 0.0,
+                            memo=memo).row() for _ in range(2)]
+        assert map_calls[0] == 2
+        assert rows[0] == rows[1]
+        assert not memo._mapped

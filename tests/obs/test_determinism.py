@@ -11,11 +11,12 @@ cache, parallel chunks do not.
 import pytest
 
 from repro.circuits import benchmark, random_pla
-from repro.core import FlowConfig, k_sweep, run_k_point
+from repro.core import EvalMemo, FlowConfig, k_sweep, run_k_point
+from repro.core.partition import partition as make_partition
 from repro.library import CORELIB018
 from repro.network import decompose
-from repro.obs import (METRIC, StatsCollisionError, StatsRegistry, Tracer,
-                       merged_counters)
+from repro.obs import (METRIC, TIME, WORK, StatsCollisionError,
+                       StatsRegistry, Tracer, merged_counters)
 from repro.place import Floorplan, place_base_network
 
 K_VALUES = [0.0, 0.001, 0.01]
@@ -173,6 +174,37 @@ class TestOnePointLedger:
         assert owners["reused"]["eval.reused"] == "evaluate"
         assert owners["pool"]["exec.workers"] == "k_point"
         assert "exec.workers" not in owners["fresh"]
+
+    def test_reused_mapping_replays_the_map_span(self):
+        """A K point whose mapping the memo kept carries the fresh
+        point's ``map`` span replayed, plus ``map.reused`` = 1."""
+        base = decompose(benchmark("pdc", 0.03))
+        config = FlowConfig(library=CORELIB018)
+        floorplan = Floorplan.for_gates(base.num_gates(), 11)
+        positions = place_base_network(base, floorplan)
+        part = make_partition(base, config.partition_style,
+                              positions=positions)
+        memo = EvalMemo()
+        fresh, again = (k_sweep(base, floorplan, config, k_values=self.K,
+                                positions=positions, partition=part,
+                                memo=memo) for _ in range(2))
+        for made, reused in zip(fresh, again):
+            assert "map.reused" not in self._owners(made)
+            assert self._owners(reused)["map.reused"] == "map"
+            kept, replay = made.trace.children[0], reused.trace.children[0]
+            assert replay.name == kept.name == "map"
+            assert replay.skeleton() == kept.skeleton()
+            assert replay.counters.deterministic() == \
+                kept.counters.deterministic()
+            assert replay.counters["map.match_queries"] == \
+                kept.counters["map.match_queries"] > 0
+            assert replay.duration == 0.0
+            kinds = replay.counters.kinds()
+            assert kinds.pop("map.reused") == WORK
+            assert kinds == kept.counters.kinds()
+            assert all(replay.counters[key] == 0 for key, kind
+                       in kinds.items() if kind in (WORK, TIME))
+            assert reused.trace.skeleton() == made.trace.skeleton()
 
 
 class TestFlowStatsAreCollisionSafe:

@@ -101,11 +101,14 @@ def test_evicted_frozen_entries_are_freed():
         return gc.get_freeze_count()
 
     first = run_pass("a")
-    last = [weakref.ref(entry) for entry in _entries(engine, THREE[-1])]
+    entries = _entries(engine, THREE[-1])
+    mapping = next(iter(entries[-1]._mapped.values()))[0]
+    last = [weakref.ref(obj) for obj in entries + (mapping,)]
+    del entries, mapping
     second = run_pass("b")
     # The second pass evicted every entry the first one left frozen,
-    # and reference counting freed them.
-    assert [ref() for ref in last] == [None, None, None]
+    # and reference counting freed them, with the mappings a memo kept.
+    assert [ref() for ref in last] == [None, None, None, None]
     assert abs(second - first) <= 0.02 * first
 
 

@@ -11,16 +11,20 @@ import os
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core import FlowConfig
 from repro.library import CORELIB018
+from repro.place import Floorplan
 from repro.serve import (
     CacheBounds,
     Job,
     PersistentCache,
     ServeEngine,
+    SessionCaches,
     cache_fingerprint,
 )
 from repro.serve.persist import CACHE_FORMAT
@@ -134,6 +138,31 @@ class TestPersistentCacheUnit:
         assert cache_fingerprint(CORELIB018) == \
             cache_fingerprint(CORELIB018)
         assert cache_fingerprint(CORELIB018).startswith("sha256:")
+
+
+class TestRoutePoolWrites:
+    @staticmethod
+    def _routing(edge_ids):
+        """What :meth:`RouteCache.store` reads of a one-net routing."""
+        route = SimpleNamespace(signature=((0, 0), (1, 1)),
+                                seg_edge_ids=[np.asarray(edge_ids)])
+        grid = SimpleNamespace(nx=4, ny=4, hcap=2, vcap=2)
+        return SimpleNamespace(grid=grid, routes={"n1": route})
+
+    def test_routes_brought_back_are_not_rewritten(self, tmp_path):
+        persist = PersistentCache(str(tmp_path),
+                                  cache_fingerprint(CORELIB018))
+        caches = SessionCaches(CORELIB018, persist=persist)
+        pool = caches.route_pool("bench:a@1", Floorplan.from_rows(12))
+        writes = []
+        for stores in ([[1, 2]], [[3, 4], [1, 2]], [[3, 4]]):
+            for edge_ids in stores:
+                pool.store(self._routing(edge_ids))
+            caches.sync()
+            writes.append(persist.counters()["persist_writes"])
+        # A -> B -> A between two syncs leaves the disk's A in place;
+        # the move to B is written.
+        assert writes == [1, 1, 2]
 
 
 class TestSessionRoundTrip:

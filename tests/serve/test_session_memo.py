@@ -1,9 +1,9 @@
 """The session's evaluation memos: one per (netlist, die).
 
 ``spla@0.01`` on 12 rows routes clean at both Ks below, so every point
-stores into the route pool and a repeat reuses only placements.
-``pdc@0.03`` on 11 rows never routes clean, so the pool never changes
-and a repeat reuses whole evaluations.
+stores into the route pool and a repeat reuses only mappings and
+placements.  ``pdc@0.03`` on 11 rows never routes clean, so the pool
+never changes and a repeat reuses whole evaluations.
 """
 
 import json
@@ -26,18 +26,29 @@ def _engine(**kwargs):
     return ServeEngine(FlowConfig(library=CORELIB018), **kwargs)
 
 
-@pytest.fixture
-def place_calls(monkeypatch):
-    """The number of ``place_netlist`` calls so far."""
+def _counted(monkeypatch, name):
+    """Count the calls of ``repro.core.flow``'s ``name`` from now on."""
     calls = [0]
-    real = flow_mod.place_netlist
+    real = getattr(flow_mod, name)
 
-    def place(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(flow_mod, "place_netlist", place)
+    monkeypatch.setattr(flow_mod, name, counted)
     return calls
+
+
+@pytest.fixture
+def place_calls(monkeypatch):
+    """The number of ``place_netlist`` calls so far."""
+    return _counted(monkeypatch, "place_netlist")
+
+
+@pytest.fixture
+def map_calls(monkeypatch):
+    """The number of ``map_network`` calls so far."""
+    return _counted(monkeypatch, "map_network")
 
 
 def _structures(points):
@@ -54,6 +65,29 @@ class TestRepeatedJobs:
         assert all(p.stats["place.reused"] == 1 for p in points)
         fresh, _ = _engine().run_job(Job(id="b", **CLEAN))
         assert again.to_json() == fresh.to_json()
+
+    def test_second_identical_job_maps_nothing(self, map_calls):
+        engine = _engine()
+        engine.run_job(Job(id="a", **CLEAN))
+        assert map_calls[0] == 2
+        again, points = engine.run_job(Job(id="b", **CLEAN))
+        assert map_calls[0] == 2
+        assert all(p.stats["map.reused"] == 1 for p in points)
+        assert engine.summary()["cache"]["map.reused"] == len(points) == 2
+        fresh, _ = _engine().run_job(Job(id="b", **CLEAN))
+        assert again.to_json() == fresh.to_json()
+
+    def test_kept_netlists_stay_read_only(self):
+        """Points that reuse a mapping share its objects; evaluating
+        them again changes none of them."""
+        engine = _engine()
+        _, first = engine.run_job(Job(id="a", **CLEAN))
+        keys = [p.mapping.netlist.structure_key() for p in first]
+        _, again = engine.run_job(Job(id="b", **CLEAN))
+        assert all(a.mapping is b.mapping for a, b in zip(again, first))
+        assert [p.mapping.netlist.structure_key() for p in again] == keys
+        _, fresh = _engine().run_job(Job(id="c", **CLEAN))
+        assert [p.mapping.netlist.structure_key() for p in fresh] == keys
 
     def test_repeats_raise_both_reuse_counters(self):
         engine = _engine()
@@ -100,12 +134,20 @@ class TestBoundedMemos:
             Job(id="c", **CLEAN), Job(id="d", **CONGESTED),
             Job(id="e", **CONGESTED), Job(id="f", **CLEAN)]
 
-    def test_eviction_changes_no_row(self):
-        unbounded = _engine().run(self.JOBS)
+    def test_eviction_changes_no_row(self, map_calls):
+        unbounded = _engine()
+        expected = unbounded.run(self.JOBS)
+        # c repeats a's two K points, e d's three, and f a's two.
+        assert unbounded.cache_counters()["map.reused"] == 7
+        mapped = map_calls[0]
         engine = _engine(bounds=CacheBounds(max_entries=1))
         results = engine.run(self.JOBS)
         assert [r.to_json() for r in results] == \
-            [r.to_json() for r in unbounded]
+            [r.to_json() for r in expected]
+        # Only e's memo and layout survive from the job before it; the
+        # others were evicted, and their jobs map again.
+        assert engine.cache_counters()["map.reused"] == 3
+        assert map_calls[0] - mapped == mapped + 7 - 3
         counters = engine.cache_counters()
         assert counters["evaluation_evictions"] > 0
         assert counters["evaluation_entries"] == 1
@@ -122,10 +164,23 @@ class TestBoundedMemos:
         assert memo.memo_nbytes > 0
         assert entry.nbytes == entry.base + memo.memo_nbytes
         # The running estimate stays within 2x of an object walk of
-        # what the memo keeps.
-        walked = approx_nbytes((memo._placed, memo._done),
-                               max_visits=10**7)
+        # what the memo keeps, less the layout its mappings share with
+        # the session's netlist and layout entries.
+        assert memo._mapped
+        walked = approx_nbytes((memo._mapped, memo._placed, memo._done)
+                               + memo._layout, max_visits=10**7) \
+            - approx_nbytes(memo._layout, max_visits=10**7)
         assert 0.5 * walked <= memo.memo_nbytes <= 2.0 * walked
+
+    def test_sync_accounts_the_route_pool(self):
+        engine = _engine()
+        engine.run_job(Job(id="a", **CLEAN))
+        [entry] = engine.caches._families["route_pool"].values()
+        pool = entry.value
+        assert pool.routes
+        assert entry.nbytes == entry.base + pool.memo_nbytes
+        walked = approx_nbytes(pool.routes, max_visits=10**7)
+        assert 0.5 * walked <= pool.memo_nbytes <= 2.0 * walked
 
 
 class TestServeWorkers:
